@@ -100,10 +100,9 @@ def eval_mlm(
             cols.append(o.loss_set)
         if not labels:
             continue
-        out = model.forward(params, config, ids, real, heads=("mlm",))
-        batch_losses.append(
-            model.mlm_loss(out, np.concatenate(labels), np.concatenate(rows), np.concatenate(cols))
-        )
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        out = model.forward(params, config, ids, real, heads=("mlm",), positions=(rows, cols))
+        batch_losses.append(model.mlm_loss(out, np.concatenate(labels), rows, cols))
     if not batch_losses:
         raise ValueError("empty evaluation set: no maskable positions")
     mean_loss = float(np.mean(batch_losses))
@@ -115,17 +114,19 @@ def eval_mlm(
 def pll(params: Params, config: ModelConfig, ids: np.ndarray) -> float:
     """Pseudo-log-likelihood: mask each non-special position in turn and sum
     the log-likelihood of the hidden token. One batched forward covers all
-    positions (rows are independent)."""
+    positions (rows are independent); the head scores only row i's masked
+    position."""
     ids = np.asarray(ids, dtype=np.int64)
     positions = maskable_indices(ids)
     if positions.size == 0:
         raise ValueError("sentence has no scoreable tokens")
+    rows = np.arange(positions.size)
     batch = np.tile(ids, (positions.size, 1))
-    batch[np.arange(positions.size), positions] = MASK_ID
+    batch[rows, positions] = MASK_ID
     real = np.ones_like(batch, dtype=bool)
-    out = model.forward(params, config, batch, real, heads=("mlm",))
-    logp = model.log_softmax(out.mlm_logits[np.arange(positions.size), positions])
-    return float(logp[np.arange(positions.size), ids[positions]].sum())
+    out = model.forward(params, config, batch, real, heads=("mlm",), positions=(rows, positions))
+    logp = model.log_softmax(out.mlm_logits)
+    return float(logp[rows, ids[positions]].sum())
 
 
 def load_minimal_pairs(path: str) -> list[MinimalPair]:

@@ -5,6 +5,13 @@ Pre-layer-norm residual blocks, learned positional embeddings, an MLM head
 position). Everything runs in float64 so the finite-difference gradient
 checker and the test oracles can demand tight agreement.
 
+The MLM head projects only the positions a caller scores: ``forward`` takes
+``positions=(rows, cols)`` and returns (n, V) logits, one row per position;
+without it every position is scored and the logits are (B, S, V). Training,
+evaluation and pseudo-log-likelihood pass their positions, so no dense
+logits tensor is built. Per-layer activations are kept only for
+``backward``; a forward-only call keeps just the final hidden state.
+
 Parameters live in a plain dict keyed by name; ``param_shapes`` defines the
 canonical ordering used everywhere, including the checkpoint format:
 
@@ -60,9 +67,16 @@ class ModelConfig:
 
 @dataclass
 class ForwardOutput:
+    """Head outputs of one forward pass.
+
+    ``mlm_positions`` is the (rows, cols) pair the MLM logits were computed
+    at, in row order; None means every position, with (B, S, V) logits.
+    """
+
     mlm_logits: np.ndarray | None
     rts_logits: np.ndarray | None
     cache: dict = field(repr=False, default_factory=dict)
+    mlm_positions: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -149,12 +163,13 @@ def _layernorm_backward(dy: np.ndarray, cache, scale: np.ndarray):
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x); GELU(x) = x * Phi(x) and GELU'(x) = Phi(x) + x * pdf(x)."""
+    return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+def _gelu_grad(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    return phi + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -173,27 +188,38 @@ def forward(
     ids: np.ndarray,
     real_mask: np.ndarray,
     heads: Iterable[str] = ("mlm",),
+    positions: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ForwardOutput:
-    """Encode a padded id batch; padded key positions are excluded from attention."""
-    heads = tuple(heads)
+    """Encode a padded id batch; padded key positions are excluded from attention.
+
+    ``positions`` = (rows, cols) restricts the MLM head to those positions:
+    ``mlm_logits[i]`` then scores position (rows[i], cols[i]). Without it the
+    head scores every position and ``mlm_logits`` is (B, S, V).
+    """
+    return _forward(params, config, ids, real_mask, tuple(heads), positions, keep_activations=False)
+
+
+def _forward(params, config, ids, real_mask, heads, positions, keep_activations) -> ForwardOutput:
+    """``forward``; with ``keep_activations`` the cache also holds what
+    ``_backward_from_heads`` needs from every layer."""
     ids = np.asarray(ids, dtype=np.int64)
     real_mask = np.asarray(real_mask, dtype=bool)
     batch, length = ids.shape
+    if positions is not None:
+        positions = tuple(np.asarray(x, dtype=np.int64) for x in positions)
     if length > config.max_seq_len:
         raise ValueError(f"sequence length {length} exceeds max_seq_len {config.max_seq_len}")
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ValueError("token id out of range")
 
     h = params["tok_emb"][ids] + params["pos_emb"][:length]
-    cache: dict = {"ids": ids, "real_mask": real_mask, "length": length, "layers": []}
+    layers: list[dict] = []
     dh_head = config.d_model // config.n_heads
     inv_sqrt = 1.0 / math.sqrt(dh_head)
 
     for i in range(config.n_layers):
         p = f"layer{i}."
-        lc: dict = {"h_in": h}
-        a, lc["ln1"] = _layernorm_forward(h, params[p + "ln1.scale"], params[p + "ln1.shift"])
-        lc["a"] = a
+        a, ln1 = _layernorm_forward(h, params[p + "ln1.scale"], params[p + "ln1.shift"])
         q = _split_heads(a @ params[p + "attn.wq"] + params[p + "attn.bq"], config.n_heads)
         k = _split_heads(a @ params[p + "attn.wk"] + params[p + "attn.bk"], config.n_heads)
         v = _split_heads(a @ params[p + "attn.wv"] + params[p + "attn.bv"], config.n_heads)
@@ -203,28 +229,34 @@ def forward(
         exps = np.exp(scores - scores_max)
         probs = exps / exps.sum(axis=-1, keepdims=True)
         ctx = _merge_heads(probs @ v)
-        attn_out = ctx @ params[p + "attn.wo"] + params[p + "attn.bo"]
-        lc.update(q=q, k=k, v=v, probs=probs, ctx=ctx)
-        h = h + attn_out
+        h = h + (ctx @ params[p + "attn.wo"] + params[p + "attn.bo"])
 
-        lc["h_mid"] = h
-        b_, lc["ln2"] = _layernorm_forward(h, params[p + "ln2.scale"], params[p + "ln2.shift"])
+        b_, ln2 = _layernorm_forward(h, params[p + "ln2.scale"], params[p + "ln2.shift"])
         u = b_ @ params[p + "ff.w1"] + params[p + "ff.b1"]
-        g = _gelu(u)
-        f = g @ params[p + "ff.w2"] + params[p + "ff.b2"]
-        lc.update(b_=b_, u=u, g=g)
-        h = h + f
-        cache["layers"].append(lc)
+        phi = _normal_cdf(u)
+        h = h + ((u * phi) @ params[p + "ff.w2"] + params[p + "ff.b2"])
+        if keep_activations:
+            layers.append(
+                dict(ln1=ln1, a=a, q=q, k=k, v=v, probs=probs, ctx=ctx, ln2=ln2, b_=b_, u=u, phi=phi)
+            )
 
-    cache["h_top"] = h
-    hfin, cache["final_ln"] = _layernorm_forward(
-        h, params["final_ln.scale"], params["final_ln.shift"]
-    )
-    cache["hfin"] = hfin
+    hfin, final_ln = _layernorm_forward(h, params["final_ln.scale"], params["final_ln.shift"])
+    cache = {"hfin": hfin}
+    if keep_activations:
+        cache.update(layers=layers, final_ln=final_ln)
 
-    mlm_logits = hfin @ params["mlm_head.w"] + params["mlm_head.b"] if "mlm" in heads else None
+    mlm_logits = None
+    if "mlm" in heads:
+        mlm_logits = _head_input(hfin, positions) @ params["mlm_head.w"] + params["mlm_head.b"]
+        if positions is None:
+            mlm_logits = mlm_logits.reshape(batch, length, config.vocab_size)
     rts_logits = hfin @ params["rts_head.w"] + params["rts_head.b"][0] if "rts" in heads else None
-    return ForwardOutput(mlm_logits=mlm_logits, rts_logits=rts_logits, cache=cache)
+    return ForwardOutput(mlm_logits, rts_logits, cache, positions if "mlm" in heads else None)
+
+
+def _head_input(hfin: np.ndarray, positions) -> np.ndarray:
+    """The final hidden states the MLM head projects, one row per position."""
+    return hfin.reshape(-1, hfin.shape[-1]) if positions is None else hfin[positions]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -238,24 +270,33 @@ def mlm_loss(
     loss_rows: np.ndarray,
     loss_cols: np.ndarray,
 ) -> float:
-    """Mean negative log-likelihood of the labels over the loss positions."""
-    loss, _ = _mlm_loss_grad(output.mlm_logits, labels, loss_rows, loss_cols)
+    """Mean negative log-likelihood of the labels over the loss positions.
+
+    Logits computed at given positions must have been computed at exactly
+    these loss positions.
+    """
+    logits = output.mlm_logits
+    if output.mlm_positions is None:
+        logits = logits[loss_rows, loss_cols]
+    elif not all(
+        np.array_equal(have, want) for have, want in zip(output.mlm_positions, (loss_rows, loss_cols))
+    ):
+        raise ValueError("loss positions differ from the positions the MLM head scored")
+    loss, _ = _mlm_loss_grad(logits, labels)
     return loss
 
 
-def _mlm_loss_grad(mlm_logits, labels, loss_rows, loss_cols):
+def _mlm_loss_grad(logits, labels):
+    """Loss and its gradient for (n, V) logits, row i labelled labels[i]."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ValueError("loss undefined: empty loss set")
-    sel = mlm_logits[loss_rows, loss_cols]
-    logp = log_softmax(sel)
+    logp = log_softmax(logits)
     n = labels.size
     loss = -logp[np.arange(n), labels].mean()
-    dsel = np.exp(logp)
-    dsel[np.arange(n), labels] -= 1.0
-    dsel /= n
-    dlogits = np.zeros_like(mlm_logits)
-    np.add.at(dlogits, (loss_rows, loss_cols), dsel)
+    dlogits = np.exp(logp)
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
     return float(loss), dlogits
 
 
@@ -298,30 +339,40 @@ def backward(
     (labels, loss_rows, loss_cols) triple; when both heads are given the
     losses are summed.
     """
-    out = forward(params, config, ids, real_mask, heads=tuple(targets))
+    total, out, d_mlm, d_rts = _targets_loss(
+        params, config, ids, real_mask, targets, keep_activations=True
+    )
+    grads = _backward_from_heads(params, config, ids, out, d_mlm, d_rts)
+    return total, grads
+
+
+def _targets_loss(params, config, ids, real_mask, targets, keep_activations=False):
+    """Forward pass for ``targets`` (see ``backward``), the summed head
+    losses, and each head's gradient with respect to its logits."""
+    positions = targets["mlm"][1:] if "mlm" in targets else None
+    out = _forward(params, config, ids, real_mask, tuple(targets), positions, keep_activations)
     total = 0.0
     d_mlm = d_rts = None
     if "mlm" in targets:
-        labels, rows, cols = targets["mlm"]
-        loss, d_mlm = _mlm_loss_grad(out.mlm_logits, labels, rows, cols)
+        loss, d_mlm = _mlm_loss_grad(out.mlm_logits, targets["mlm"][0])
         total += loss
     if "rts" in targets:
         flags, rows, cols = targets["rts"]
         loss, d_rts = _rts_loss_grad(out.rts_logits, flags, rows, cols)
         total += loss
-    grads = _backward_from_heads(params, config, out.cache, d_mlm, d_rts)
-    return total, grads
+    return total, out, d_mlm, d_rts
 
 
-def _backward_from_heads(params, config, cache, d_mlm, d_rts) -> Params:
+def _backward_from_heads(params, config, ids, out, d_mlm, d_rts) -> Params:
     grads = zeros_like_params(params)
+    cache = out.cache
     hfin = cache["hfin"]
-    flat = hfin.reshape(-1, config.d_model)
     d_hfin = np.zeros_like(hfin)
     if d_mlm is not None:
-        grads["mlm_head.w"] += flat.T @ d_mlm.reshape(-1, config.vocab_size)
-        grads["mlm_head.b"] += d_mlm.sum(axis=(0, 1))
-        d_hfin += d_mlm @ params["mlm_head.w"].T
+        positions = out.mlm_positions
+        grads["mlm_head.w"] += _head_input(hfin, positions).T @ d_mlm
+        grads["mlm_head.b"] += d_mlm.sum(axis=0)
+        np.add.at(d_hfin, positions, d_mlm @ params["mlm_head.w"].T)
     if d_rts is not None:
         grads["rts_head.w"] += (hfin * d_rts[..., None]).sum(axis=(0, 1))
         grads["rts_head.b"] += d_rts.sum()
@@ -340,9 +391,10 @@ def _backward_from_heads(params, config, cache, d_mlm, d_rts) -> Params:
         # feed-forward sublayer: h_out = h_mid + W2 gelu(W1 LN2(h_mid) + b1) + b2
         df = dh
         dg = df @ params[p + "ff.w2"].T
-        grads[p + "ff.w2"] += lc["g"].reshape(-1, config.d_ff).T @ df.reshape(-1, config.d_model)
+        g = lc["u"] * lc["phi"]
+        grads[p + "ff.w2"] += g.reshape(-1, config.d_ff).T @ df.reshape(-1, config.d_model)
         grads[p + "ff.b2"] += df.sum(axis=(0, 1))
-        du = dg * _gelu_grad(lc["u"])
+        du = dg * _gelu_grad(lc["u"], lc["phi"])
         grads[p + "ff.w1"] += lc["b_"].reshape(-1, config.d_model).T @ du.reshape(-1, config.d_ff)
         grads[p + "ff.b1"] += du.sum(axis=(0, 1))
         db_ = du @ params[p + "ff.w1"].T
@@ -381,13 +433,9 @@ def _backward_from_heads(params, config, cache, d_mlm, d_rts) -> Params:
         grads[p + "ln1.shift"] += dshift
         dh = dh + dx
 
-    length = cache["length"]
-    grads["pos_emb"][:length] += dh.sum(axis=0)
-    np.add.at(
-        grads["tok_emb"],
-        cache["ids"].reshape(-1),
-        dh.reshape(-1, config.d_model),
-    )
+    ids = np.asarray(ids, dtype=np.int64)
+    grads["pos_emb"][: ids.shape[1]] += dh.sum(axis=0)
+    np.add.at(grads["tok_emb"], ids.reshape(-1), dh.reshape(-1, config.d_model))
     return grads
 
 
@@ -461,12 +509,7 @@ def grad_check(
         raise ValueError("non-finite loss in gradient check")
 
     def loss_at(p: Params) -> float:
-        out = forward(p, config, ids, real, heads=("mlm", "rts"))
-        labels, rows, cols = targets["mlm"]
-        flags, rrows, rcols = targets["rts"]
-        l1, _ = _mlm_loss_grad(out.mlm_logits, labels, rows, cols)
-        l2, _ = _rts_loss_grad(out.rts_logits, flags, rrows, rcols)
-        return l1 + l2
+        return _targets_loss(p, config, ids, real, targets)[0]
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 910)))
     names = list(params)
@@ -529,4 +572,6 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             if len(buf) != count * 8:
                 raise ValueError(f"truncated checkpoint: {path}")
             tensors[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+        if fh.read(1):
+            raise ValueError(f"trailing bytes after the last tensor: {path}")
     return header, tensors

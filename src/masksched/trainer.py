@@ -323,6 +323,30 @@ def _headers_match(header: dict, model_config: ModelConfig, train_config: TrainC
     return json.loads(json.dumps(want)) == have
 
 
+def _cut_metrics(path: str, step: int) -> None:
+    """Keep only the metrics records of steps before ``step``.
+
+    A run resumed from the checkpoint of ``step`` logs every later step
+    again, so the records a longer earlier run wrote after that point go.
+    A torn last line (no newline) goes too. The file is replaced atomically.
+    """
+    if not os.path.exists(path):
+        return
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    keep = [
+        line for line in lines if line.endswith(b"\n") and json.loads(line)["step"] < step
+    ]
+    if len(keep) == len(lines):
+        return
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.writelines(keep)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
 def train(
     model_config: ModelConfig,
     train_config: TrainConfig,
@@ -366,8 +390,10 @@ def train(
         os.makedirs(out_dir, exist_ok=True)
         ckpt_dir = os.path.join(out_dir, "checkpoints")
         os.makedirs(ckpt_dir, exist_ok=True)
-        mode = "ab" if resume_from is not None else "wb"
-        metrics_fh = open(os.path.join(out_dir, "metrics.jsonl"), mode)
+        metrics_path = os.path.join(out_dir, "metrics.jsonl")
+        if resume_from is not None:
+            _cut_metrics(metrics_path, start)
+        metrics_fh = open(metrics_path, "ab" if resume_from is not None else "wb")
 
     def run_eval(p: Params) -> float:
         return evaluate.eval_mlm(

@@ -1,9 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from masksched.data import build_vocab, encode, encode_corpus, synthetic_zipf_corpus
+from masksched.data import (
+    CLS_ID,
+    N_SPECIALS,
+    SEP_ID,
+    build_vocab,
+    encode,
+    encode_corpus,
+    synthetic_zipf_corpus,
+)
 from masksched.evaluate import (
     EvalConfig,
     MinimalPair,
@@ -109,6 +118,31 @@ class TestPll:
         vocab, _ = toy
         with pytest.raises(ValueError, match="scoreable"):
             pll(uniform_params(CFG), CFG, encode(vocab, "", CFG.max_seq_len))
+
+
+def test_pll_memory_stays_below_one_dense_logits_tensor():
+    # 38 scored positions of a 40-token sentence against a 2000-word vocab:
+    # dense (P, L, V) logits would take 23 MiB
+    length, vocab_size = 40, 2000
+    ids = np.random.default_rng(0).integers(N_SPECIALS, vocab_size, size=length)
+    ids[0], ids[-1] = CLS_ID, SEP_ID
+    dense_bytes = (length - 2) * length * vocab_size * 8
+    peaks = []
+    for n_layers in (1, 4):
+        config = ModelConfig(
+            n_layers=n_layers, n_heads=2, d_model=16, d_ff=32,
+            vocab_size=vocab_size, max_seq_len=length, init_seed=0,
+        )
+        params = init_params(config)
+        tracemalloc.start()
+        try:
+            pll(params, config, ids)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < dense_bytes, peaks
+    # forward-only scoring keeps no per-layer activations
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 class TestMinimalPairs:

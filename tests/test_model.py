@@ -186,6 +186,45 @@ class TestLosses:
         assert abs(ours_rts - ref_rts_loss(out.rts_logits, flags, rows, cols)) < 1e-10
 
 
+class TestGatheredHead:
+    def test_matches_dense_logits_and_loss(self):
+        params = init_params(SMALL)
+        ids, real = random_batch(SMALL, 9, batch=3, length=7, pad_last=1)
+        rows, cols, labels, _ = loss_targets(SMALL, ids)
+        dense = forward(params, SMALL, ids, real)
+        gathered = forward(params, SMALL, ids, real, positions=(rows, cols))
+        assert gathered.mlm_logits.shape == (rows.size, SMALL.vocab_size)
+        assert np.abs(gathered.mlm_logits - dense.mlm_logits[rows, cols]).max() < 1e-12
+        dense_loss = mlm_loss(dense, labels, rows, cols)
+        assert abs(mlm_loss(gathered, labels, rows, cols) - dense_loss) < 1e-12
+
+    def test_loss_at_other_positions_rejected(self):
+        params = init_params(SMALL)
+        ids, real = random_batch(SMALL, 9)
+        rows, cols, labels, _ = loss_targets(SMALL, ids)
+        out = forward(params, SMALL, ids, real, positions=(rows, cols))
+        with pytest.raises(ValueError, match="positions"):
+            mlm_loss(out, labels[:-1], rows[:-1], cols[:-1])
+
+    def test_forward_only_keeps_no_layer_activations(self):
+        params = init_params(SMALL)
+        ids, real = random_batch(SMALL, 9)
+        assert list(forward(params, SMALL, ids, real).cache) == ["hfin"]
+
+    def test_duplicated_positions_scatter_their_gradients(self):
+        # every loss position listed twice leaves the mean loss and its
+        # gradient unchanged, which holds only if duplicates are summed
+        params = init_params(SMALL)
+        ids, real = random_batch(SMALL, 10, batch=2, length=6)
+        rows, cols, labels, _ = loss_targets(SMALL, ids)
+        l1, g1 = backward(params, SMALL, ids, real, {"mlm": (labels, rows, cols)})
+        twice = tuple(np.concatenate([x, x]) for x in (labels, rows, cols))
+        l2, g2 = backward(params, SMALL, ids, real, {"mlm": twice})
+        assert abs(l1 - l2) < 1e-12
+        for name in g1:
+            np.testing.assert_allclose(g2[name], g1[name], rtol=0, atol=1e-12)
+
+
 class TestBackward:
     def test_unused_positional_rows_have_zero_gradient(self):
         params = init_params(SMALL)
@@ -237,6 +276,14 @@ class TestCheckpointIO:
         path2 = tmp_path / "b.ckpt"
         save_checkpoint(str(path2), {"step": 3, "config": {"d": 1}, "rng": {"seed": 0}}, tensors)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(str(path), {"step": 3, "config": {"d": 1}, "rng": {"seed": 0}}, init_params(TINY))
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_checkpoint(str(path))
 
     def test_param_shapes_cover_params(self):
         params = init_params(SMALL)

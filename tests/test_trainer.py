@@ -187,6 +187,30 @@ class TestTrainLoop:
             split_dir / "metrics.jsonl"
         ).read_bytes()
 
+    def test_resume_from_older_checkpoint_rewrites_later_records(self, toy, tmp_path):
+        vocab, dataset = toy
+        cfg = config(total_steps=20, checkpoint_every=5, eval_every=5)
+        full_dir = tmp_path / "full"
+        rerun_dir = tmp_path / "rerun"
+        torn_dir = tmp_path / "torn"
+        train(MODEL, cfg, dataset, vocab, out_dir=str(full_dir))
+        train(MODEL, cfg, dataset, vocab, out_dir=str(rerun_dir))
+        train(MODEL, cfg, dataset, vocab, out_dir=str(torn_dir), stop_after=12)
+        with open(torn_dir / "metrics.jsonl", "ab") as fh:
+            fh.write(b'{"eval_loss":')  # a write cut off by a crash
+        for run_dir in (rerun_dir, torn_dir):
+            train(
+                MODEL,
+                cfg,
+                dataset,
+                vocab,
+                out_dir=str(run_dir),
+                resume_from=str(run_dir / "checkpoints" / "step-10.ckpt"),
+            )
+            assert (run_dir / "metrics.jsonl").read_bytes() == (
+                full_dir / "metrics.jsonl"
+            ).read_bytes()
+
     def test_resume_with_altered_config_rejected(self, toy, tmp_path):
         vocab, dataset = toy
         cfg = config(total_steps=8, checkpoint_every=4)
