@@ -184,43 +184,6 @@ def speedup_from_steps(baseline_total_steps: float, crossover: float) -> float:
     return baseline_total_steps / crossover
 
 
-def speedup_ratio(fit: RegressionFit, baseline_best: float, baseline_total_steps: float) -> float:
-    cross = crossover_step(fit, baseline_best)
-    if cross is None:
-        raise ValueError("never matches baseline: target above the fitted asymptote")
-    return speedup_from_steps(baseline_total_steps, cross)
-
-
-@dataclass
-class ParetoVerdict:
-    is_improvement: bool
-    violations: list[tuple[float, float, float]]  # (step, value_a, value_b)
-
-
-def pareto_check(steps_a, values_a, steps_b, values_b, tolerance: float = 0.0) -> ParetoVerdict:
-    """Does A match or exceed B at every shared step (within tolerance)?"""
-    steps_a = np.asarray(steps_a, dtype=np.float64)
-    steps_b = np.asarray(steps_b, dtype=np.float64)
-    if steps_a.shape != steps_b.shape or (steps_a != steps_b).any():
-        raise ValueError("series must share an identical step grid")
-    values_a = np.asarray(values_a, dtype=np.float64)
-    values_b = np.asarray(values_b, dtype=np.float64)
-    bad = values_a < values_b - tolerance
-    violations = [
-        (float(steps_a[i]), float(values_a[i]), float(values_b[i])) for i in np.nonzero(bad)[0]
-    ]
-    return ParetoVerdict(is_improvement=not violations, violations=violations)
-
-
-def pooled_standard_error(replicates_a, replicates_b) -> float:
-    """Pooled SE of a mean difference, the default pareto tolerance with replicates."""
-    a = np.asarray(replicates_a, dtype=np.float64)
-    b = np.asarray(replicates_b, dtype=np.float64)
-    if a.size < 2 or b.size < 2:
-        raise ValueError("need at least 2 replicates per side")
-    return float(math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size))
-
-
 def load_series_csv(path: str, default_name: str | None = None) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Read ``step,value[,schedule]`` rows into per-schedule arrays."""
     rows: dict[str, list[tuple[float, float]]] = {}

@@ -53,27 +53,16 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-_MODEL_KEYS = {"n_layers", "n_heads", "d_model", "d_ff", "max_seq_len", "init_seed"}
-_TRAIN_KEYS = {
-    "total_steps",
-    "batch_size",
-    "schedule",
-    "objective",
-    "subset_loss_fraction",
-    "min_masked",
-    "peak_lr",
-    "final_lr",
-    "warmup_fraction",
-    "beta1",
-    "beta2",
-    "eps",
-    "weight_decay",
-    "grad_clip",
-    "seed",
-    "eval_every",
-    "checkpoint_every",
-}
-_EVAL_KEYS = {"masking_rate", "seed", "n_batches"}
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+# The train section holds the corruption keys flat; the 80/10/10 fractions
+# are not configurable from a run config.
+_CORRUPTION_KEYS = {"objective", "subset_loss_fraction", "min_masked"}
+_MODEL_KEYS = _field_names(ModelConfig) - {"vocab_size"}
+_TRAIN_KEYS = _field_names(TrainConfig) - {"corruption", "eval"} | _CORRUPTION_KEYS
+_EVAL_KEYS = _field_names(EvalConfig)
 
 
 def parse_run_config(doc: dict) -> RunConfig:
@@ -108,11 +97,7 @@ def build_configs(run: RunConfig, vocab_size: int) -> tuple[ModelConfig, TrainCo
         schedule = parse_schedule(t.pop("schedule"), max(total_steps, 1))
     except ScheduleError as exc:
         raise ConfigError(f"train.schedule: {exc}") from None
-    corruption = CorruptionConfig(
-        objective=t.pop("objective", "mlm"),
-        subset_loss_fraction=t.pop("subset_loss_fraction", None),
-        min_masked=t.pop("min_masked", 1),
-    )
+    corruption = CorruptionConfig(**{k: t.pop(k) for k in _CORRUPTION_KEYS if k in t})
     eval_cfg = EvalConfig(**run.eval)
     train_cfg = TrainConfig(
         total_steps=total_steps,
@@ -145,7 +130,7 @@ def cmd_train(args) -> int:
     dataset = data.encode_corpus(vocab, lines, model_cfg.max_seq_len)
 
     os.makedirs(out_dir, exist_ok=True)
-    with open(config_path, "w", encoding="utf-8", newline="\n") as fh:
+    with data.atomic_write(config_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(run.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     data.save_vocab(vocab, os.path.join(out_dir, "vocab.txt"))

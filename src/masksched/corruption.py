@@ -1,8 +1,8 @@
-"""Token corruption: BERT-style 80/10/10 masking, subset-loss mode, RTS.
+"""Token corruption: BERT-style 80/10/10 masking and RTS, per row and per batch.
 
-All randomness flows through a caller-owned numpy Generator, so a batch can
-be corrupted in parallel by deriving one seed per sequence. Special tokens
-(ids 0..4) are never masked, substituted, or labeled.
+All randomness flows through caller-owned numpy Generators, one per
+sequence, so a batch's bytes do not depend on how its rows are processed.
+Special tokens (ids 0..4) are never masked, substituted, or labeled.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MASK_ID, N_SPECIALS
+from .data import MASK_ID, N_SPECIALS, pad_batch
 
 
 @dataclass(frozen=True)
@@ -20,9 +20,10 @@ class CorruptionConfig:
     """How training examples are corrupted.
 
     ``subset_loss_fraction`` enables the ablation where masking follows the
-    schedule but the loss is restricted to a fixed fraction of the maskable
-    tokens. ``min_masked = 1`` force-includes one maskable index when the
-    Bernoulli draw comes up empty, so the per-example loss is always defined.
+    schedule but the loss is restricted to a fixed fraction of the batch's
+    maskable tokens (the trainer draws that subset for the whole batch).
+    ``min_masked = 1`` force-includes one maskable index when the Bernoulli
+    draw comes up empty, so the per-example loss is always defined.
     """
 
     objective: str = "mlm"
@@ -133,23 +134,6 @@ def apply_bert_corruption(
     )
 
 
-def subset_loss_indices(
-    mask_set: np.ndarray,
-    maskable_count: int,
-    target_fraction: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Uniform subset of the mask capped at target_fraction of the maskable tokens."""
-    if not (0 < target_fraction <= 1):
-        raise ValueError("target_fraction must be in (0, 1]")
-    mask_set = np.asarray(mask_set, dtype=np.int64)
-    target = round_half_up(target_fraction * maskable_count)
-    if mask_set.size <= target:
-        return np.sort(mask_set)
-    picked = rng.choice(mask_set, size=target, replace=False)
-    return np.sort(picked)
-
-
 def apply_rts(
     ids: np.ndarray,
     rate: float,
@@ -209,11 +193,40 @@ def corrupt_sequence(
     if config.objective == "rts":
         return apply_rts(ids, rate, vocab_size, rng)
     mask_set = sample_mask(len(ids), maskable, rate, rng, config.min_masked)
-    outcome = apply_bert_corruption(ids, mask_set, vocab_size, rng, config)
-    if config.subset_loss_fraction is not None:
-        loss_set = subset_loss_indices(
-            mask_set, maskable.size, config.subset_loss_fraction, rng
-        )
-        outcome.loss_set = loss_set
-        outcome.labels = ids[loss_set]
-    return outcome
+    return apply_bert_corruption(ids, mask_set, vocab_size, rng, config)
+
+
+def corrupt_batch(
+    seqs: list[np.ndarray],
+    rate: float,
+    vocab_size: int,
+    rngs: list[np.random.Generator],
+    config: CorruptionConfig = CorruptionConfig(),
+) -> tuple[list[MaskOutcome | None], np.ndarray, np.ndarray]:
+    """Corrupt row i with ``rngs[i]`` and right-pad the result.
+
+    Returns the per-row outcomes and the padded (ids, real_mask); rows with
+    nothing to mask enter the batch unchanged.
+    """
+    outcomes = [
+        corrupt_sequence(seq, rate, vocab_size, rng, config)
+        for seq, rng in zip(seqs, rngs, strict=True)
+    ]
+    ids, real = pad_batch([seq if o is None else o.corrupted for seq, o in zip(seqs, outcomes)])
+    return outcomes, ids, real
+
+
+def collate_targets(outcomes: list[MaskOutcome | None]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten per-sequence loss sets into (labels, rows, cols) arrays."""
+    labels: list[np.ndarray] = []
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    for row, outcome in enumerate(outcomes):
+        if outcome is None or outcome.loss_set.size == 0:
+            continue
+        labels.append(outcome.labels)
+        rows.append(np.full(outcome.loss_set.size, row, dtype=np.int64))
+        cols.append(outcome.loss_set)
+    if not labels:
+        return (np.empty(0, dtype=np.int64),) * 3
+    return np.concatenate(labels), np.concatenate(rows), np.concatenate(cols)

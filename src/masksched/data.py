@@ -9,9 +9,12 @@ bit-exactly reproducible from the same inputs.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -46,19 +49,12 @@ class Vocab:
     def size(self) -> int:
         return len(self.tokens)
 
-    @property
-    def id_of(self) -> dict[str, int]:
-        return self._index()
-
+    @cached_property
     def _index(self) -> dict[str, int]:
-        idx = self.__dict__.get("_idx")
-        if idx is None:
-            idx = {tok: i for i, tok in enumerate(self.tokens)}
-            self.__dict__["_idx"] = idx
-        return idx
+        return {tok: i for i, tok in enumerate(self.tokens)}
 
     def lookup(self, token: str) -> int:
-        return self._index().get(token, UNK_ID)
+        return self._index.get(token, UNK_ID)
 
 
 def build_vocab(corpus: Iterable[str], max_size: int) -> Vocab:
@@ -89,12 +85,6 @@ def encode(vocab: Vocab, line: str, max_len: int) -> TokenSequence:
     return np.asarray(ids, dtype=np.int64)
 
 
-def decode(vocab: Vocab, ids: TokenSequence) -> str:
-    """Inverse of encode: drops [CLS]/[SEP]/[PAD], keeps the [UNK] string."""
-    keep = [int(i) for i in ids if int(i) not in (CLS_ID, SEP_ID, PAD_ID)]
-    return " ".join(vocab.tokens[i] for i in keep)
-
-
 def epoch_permutation(n_sequences: int, seed: int, epoch: int = 0) -> np.ndarray:
     """Deterministic shuffle of [0, n_sequences) for one epoch."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, _SHUFFLE_DOMAIN, epoch)))
@@ -112,20 +102,6 @@ def pad_batch(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
     return ids, real
 
 
-def batches(
-    dataset: list[TokenSequence], batch_size: int, seed: int, epoch: int = 0
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """One seeded epoch over the dataset; the short remainder batch is kept."""
-    if not dataset:
-        raise ValueError("empty dataset")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    order = epoch_permutation(len(dataset), seed, epoch)
-    for start in range(0, len(dataset), batch_size):
-        chunk = order[start : start + batch_size]
-        yield pad_batch([dataset[i] for i in chunk])
-
-
 def load_corpus(path: str) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         return [line.rstrip("\n") for line in fh]
@@ -135,8 +111,28 @@ def encode_corpus(vocab: Vocab, lines: Iterable[str], max_len: int) -> list[Toke
     return [encode(vocab, line, max_len) for line in lines]
 
 
+@contextmanager
+def atomic_write(path: str, mode: str = "wb", **open_kwargs):
+    """Write through a temp file that replaces ``path`` only once complete.
+
+    The temp file is fsynced before ``os.replace``, so ``path`` holds either
+    its previous bytes or all of the new ones. If the block raises, the temp
+    file is removed and ``path`` is left as it was.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_vocab(vocab: Vocab, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         for token in vocab.tokens:
             fh.write(token + "\n")
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .corruption import CorruptionConfig, corrupt_sequence, maskable_indices
-from .data import MASK_ID, Vocab, encode, pad_batch
+from .corruption import collate_targets, corrupt_batch, maskable_indices
+from .data import MASK_ID, Vocab, encode
 from .model import ModelConfig, Params
 
 # Seed-derivation domain for per-(batch, row) evaluation masks.
@@ -77,32 +77,20 @@ def eval_mlm(
     cfg.validate()
     if not dataset:
         raise ValueError("empty evaluation set")
-    ccfg = CorruptionConfig()
     digest = hashlib.sha256()
     batch_losses = []
     for b, seqs in eval_batches(dataset, cfg, batch_size):
-        outcomes = [
-            corrupt_sequence(seq, cfg.masking_rate, config.vocab_size, _eval_rng(cfg.seed, b, r), ccfg)
-            for r, seq in enumerate(seqs)
-        ]
-        corrupted = [
-            o.corrupted if o is not None else seqs[i] for i, o in enumerate(outcomes)
-        ]
-        ids, real = pad_batch(corrupted)
-        labels, rows, cols = [], [], []
+        rngs = [_eval_rng(cfg.seed, b, r) for r in range(len(seqs))]
+        outcomes, ids, real = corrupt_batch(seqs, cfg.masking_rate, config.vocab_size, rngs)
         for r, o in enumerate(outcomes):
-            if o is None or o.loss_set.size == 0:
-                continue
-            digest.update(np.asarray([r], dtype=np.int64).tobytes())
-            digest.update(o.mask_set.astype(np.int64).tobytes())
-            labels.append(o.labels)
-            rows.append(np.full(o.loss_set.size, r, dtype=np.int64))
-            cols.append(o.loss_set)
-        if not labels:
+            if o is not None and o.loss_set.size:
+                digest.update(np.asarray([r], dtype=np.int64).tobytes())
+                digest.update(o.mask_set.astype(np.int64).tobytes())
+        labels, rows, cols = collate_targets(outcomes)
+        if labels.size == 0:
             continue
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
         out = model.forward(params, config, ids, real, heads=("mlm",), positions=(rows, cols))
-        batch_losses.append(model.mlm_loss(out, np.concatenate(labels), rows, cols))
+        batch_losses.append(model.mlm_loss(out, labels, rows, cols))
     if not batch_losses:
         raise ValueError("empty evaluation set: no maskable positions")
     mean_loss = float(np.mean(batch_losses))

@@ -33,7 +33,7 @@ from typing import Iterable
 import numpy as np
 from scipy.special import erf
 
-from .data import CLS_ID, N_SPECIALS, SEP_ID
+from .data import CLS_ID, N_SPECIALS, SEP_ID, atomic_write
 
 CHECKPOINT_FORMAT = "masksched-ckpt-v1"
 
@@ -554,7 +554,7 @@ def save_checkpoint(path: str, header: dict, tensors: dict[str, np.ndarray]) -> 
     header["format"] = CHECKPOINT_FORMAT
     header["tensors"] = [[name, list(t.shape)] for name, t in tensors.items()]
     line = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(line.encode("utf-8"))
         for tensor in tensors.values():
             fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())

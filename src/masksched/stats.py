@@ -4,11 +4,8 @@ The comparison protocol: within one task, the schedule with the best mean is
 the reference; every other schedule is tested one-sided for being worse, the
 pairwise p-values are Hochberg-corrected across that task, and the schedules
 whose null is retained form the "parity set" (the bold entries of a results
-table). Higher metric values are treated as better.
-
-The Student-t CDF is evaluated through the regularized incomplete beta
-function, computed here with a modified Lentz continued fraction to around
-1e-14 relative error, so the module carries no statistics dependency.
+table). Higher metric values are treated as better. The Student-t CDF is
+scipy's ``stdtr``, the function ``scipy.stats.t.cdf`` evaluates.
 """
 
 from __future__ import annotations
@@ -17,6 +14,8 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+
+from scipy.special import stdtr
 
 
 @dataclass(frozen=True)
@@ -39,80 +38,6 @@ class SampleSet:
     def variance(self) -> float:
         m = self.mean
         return math.fsum((v - m) ** 2 for v in self.values) / (len(self.values) - 1)
-
-
-_BETACF_MAX_ITER = 500
-_BETACF_EPS = 1e-16
-_BETACF_FPMIN = 1e-300
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETACF_FPMIN:
-        d = _BETACF_FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETACF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETACF_EPS:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0 or b <= 0:
-        raise ValueError("a and b must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def t_cdf(t: float, df: float) -> float:
-    """P(T <= t) for Student's t with ``df`` degrees of freedom."""
-    if df <= 0:
-        raise ValueError("df must be positive")
-    if t == 0.0:
-        return 0.5
-    x = df / (df + t * t)
-    tail = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
-    return tail if t < 0 else 1.0 - tail
 
 
 def welch_statistic(x: SampleSet | tuple, y: SampleSet | tuple) -> tuple[float, float]:
@@ -148,7 +73,7 @@ def one_sided_t(x: SampleSet | tuple, y: SampleSet | tuple) -> float:
             )
             return 0.5
         return 0.0 if t < 0 else 1.0
-    return t_cdf(t, df)
+    return float(stdtr(df, t))
 
 
 def hochberg(pvals: list[float], alpha: float = 0.05) -> set[int]:

@@ -22,15 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import evaluate, model
+from . import corruption, evaluate, model
 from .corruption import (
     CorruptionConfig,
     MaskOutcome,
-    corrupt_sequence,
+    collate_targets,
     maskable_indices,
     round_half_up,
 )
-from .data import Vocab, epoch_permutation, pad_batch
+from .data import Vocab, atomic_write, epoch_permutation
 from .evaluate import EvalConfig
 from .model import ModelConfig, Params
 from .schedule import ScheduleSpec, masking_rate, schedule_name, validate
@@ -234,22 +234,6 @@ def restrict_loss_budget(
     return labels[keep], rows[keep], cols[keep]
 
 
-def collate_targets(outcomes: list[MaskOutcome | None]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten per-sequence loss sets into (labels, rows, cols) arrays."""
-    labels: list[np.ndarray] = []
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    for row, outcome in enumerate(outcomes):
-        if outcome is None or outcome.loss_set.size == 0:
-            continue
-        labels.append(outcome.labels)
-        rows.append(np.full(outcome.loss_set.size, row, dtype=np.int64))
-        cols.append(outcome.loss_set)
-    if not labels:
-        return (np.empty(0, dtype=np.int64),) * 3
-    return np.concatenate(labels), np.concatenate(rows), np.concatenate(cols)
-
-
 def corrupt_batch(
     seqs: list[np.ndarray],
     rate: float,
@@ -258,18 +242,9 @@ def corrupt_batch(
     step: int,
     config: CorruptionConfig,
 ) -> tuple[list[MaskOutcome | None], np.ndarray, np.ndarray]:
-    # subset-loss restriction happens at batch level (restrict_loss_budget),
-    # not per sequence, so strip it here
-    config = dataclasses.replace(config, subset_loss_fraction=None)
-    outcomes = [
-        corrupt_sequence(seq, rate, vocab_size, corruption_rng(seed, step, row), config)
-        for row, seq in enumerate(seqs)
-    ]
-    corrupted = [
-        outcomes[i].corrupted if outcomes[i] is not None else seqs[i] for i in range(len(seqs))
-    ]
-    ids, real = pad_batch(corrupted)
-    return outcomes, ids, real
+    """``corruption.corrupt_batch`` with the per-(seed, step, row) generators."""
+    rngs = [corruption_rng(seed, step, row) for row in range(len(seqs))]
+    return corruption.corrupt_batch(seqs, rate, vocab_size, rngs, config)
 
 
 def _config_header(model_config: ModelConfig, train_config: TrainConfig) -> dict:
@@ -339,12 +314,8 @@ def _cut_metrics(path: str, step: int) -> None:
     ]
     if len(keep) == len(lines):
         return
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.writelines(keep)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 def train(

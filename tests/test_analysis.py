@@ -10,11 +10,8 @@ from masksched.analysis import (
     emit_plot,
     fit_speedup_curve,
     load_series_csv,
-    pareto_check,
-    pooled_standard_error,
     speedup_from_steps,
     speedup_model,
-    speedup_ratio,
 )
 
 TRUE = (0.85, 0.4, 5e-5, 1.2)
@@ -114,46 +111,8 @@ class TestSpeedup:
     def test_self_comparison_is_unity(self):
         fit = fit_speedup_curve(STEPS, synthetic_values())
         total = float(STEPS[-1])
-        ratio = speedup_ratio(fit, fit(total), total)
+        ratio = speedup_from_steps(total, crossover_step(fit, fit(total)))
         assert abs(ratio - 1.0) < 1e-5
-
-    def test_unreachable_target_raises(self):
-        fit = fit_speedup_curve(STEPS, synthetic_values())
-        with pytest.raises(ValueError, match="never matches"):
-            speedup_ratio(fit, fit.c1 + 0.1, 70_000)
-
-
-class TestPareto:
-    def test_identical_series_pareto(self):
-        steps = np.arange(5.0)
-        v = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        verdict = pareto_check(steps, v, steps, v)
-        assert verdict.is_improvement
-        assert verdict.violations == []
-
-    def test_uniform_improvement(self):
-        steps = np.arange(4.0)
-        b = np.array([1.0, 2.0, 3.0, 4.0])
-        verdict = pareto_check(steps, b + 0.1, steps, b)
-        assert verdict.is_improvement
-
-    def test_single_dip_listed(self):
-        steps = np.arange(4.0)
-        b = np.array([1.0, 2.0, 3.0, 4.0])
-        a = b.copy()
-        a[2] -= 0.5
-        verdict = pareto_check(steps, a, steps, b, tolerance=0.1)
-        assert not verdict.is_improvement
-        assert [v[0] for v in verdict.violations] == [2.0]
-
-    def test_mismatched_grids_rejected(self):
-        with pytest.raises(ValueError, match="identical step grid"):
-            pareto_check([0.0, 1.0], [1, 2], [0.0, 2.0], [1, 2])
-
-    def test_pooled_standard_error(self):
-        se = pooled_standard_error([1.0, 2.0, 3.0], [2.0, 4.0, 6.0])
-        expected = math.sqrt(1.0 / 3 + 4.0 / 3)
-        assert abs(se - expected) < 1e-12
 
 
 class TestPlotAndCsv:

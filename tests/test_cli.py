@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -239,3 +241,29 @@ class TestCrossProcessDeterminism:
             }
             snapshots.append((proc.stdout, files))
         assert snapshots[0] == snapshots[1]
+
+
+class TestScheduleComparisonPipeline:
+    def test_script_outputs_feed_compare_and_speedup(self, tmp_path, capsys):
+        script = Path(__file__).parents[1] / "scripts" / "run_schedule_comparison.py"
+        out = tmp_path / "cmp"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        cmd = [
+            sys.executable, str(script), "--out", str(out),
+            "--steps", "16", "--seeds", "0", "1", "--lines", "80", "--eval-every", "4",
+        ]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+
+        assert main(["compare", str(out / "final_losses.json")]) == 0
+        report = json.loads(capsys.readouterr().out.split("\n\n")[0])
+        assert set(report["tasks"]["eval_loss"]["means"]) == {
+            "constant-0.15", "constant-0.3", "linear-0.3-0.15"
+        }
+
+        svg = tmp_path / "speedup.svg"
+        args = ["speedup", str(out / "eval_series.csv"), "--baseline", "constant-0.15"]
+        assert main(args + ["--plot", str(svg)]) == 0
+        speedup = json.loads(capsys.readouterr().out)
+        assert speedup["baseline"] == "constant-0.15"
+        assert ET.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg"

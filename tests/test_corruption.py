@@ -7,13 +7,15 @@ from masksched.corruption import (
     CorruptionConfig,
     apply_bert_corruption,
     apply_rts,
+    collate_targets,
+    corrupt_batch,
     corrupt_sequence,
     maskable_indices,
     round_half_up,
     sample_mask,
-    subset_loss_indices,
 )
 from masksched.data import CLS_ID, MASK_ID, N_SPECIALS, PAD_ID, SEP_ID, UNK_ID
+from masksched.trainer import restrict_loss_budget
 
 VOCAB_SIZE = 50
 
@@ -102,20 +104,27 @@ class TestBertCorruption:
 
 
 class TestSubsetLoss:
+    @staticmethod
+    def restrict(cols, maskable_total, fraction):
+        # labels carry their column so the test can see they stay paired
+        rows = np.zeros(cols.size, dtype=np.int64)
+        return restrict_loss_budget(cols + 1000, rows, cols, maskable_total, fraction, rng(0))
+
     def test_caps_at_target_fraction(self):
         m = np.arange(10, 40)  # |M| = 30
-        sub = subset_loss_indices(m, 100, 0.15, rng(0))
+        labels, _, sub = self.restrict(m, 100, 0.15)
         assert sub.size == 15
         assert np.isin(sub, m).all()
+        np.testing.assert_array_equal(labels, sub + 1000)
 
     def test_small_mask_returned_unchanged(self):
         m = np.arange(5, 15)
-        sub = subset_loss_indices(m, 100, 0.15, rng(0))
+        _, _, sub = self.restrict(m, 100, 0.15)
         np.testing.assert_array_equal(sub, m)
 
     def test_full_fraction_is_identity(self):
         m = np.arange(7, 30)
-        sub = subset_loss_indices(m, 100, 1.0, rng(0))
+        _, _, sub = self.restrict(m, 100, 1.0)
         np.testing.assert_array_equal(sub, m)
 
     def test_round_half_up(self):
@@ -205,9 +214,10 @@ class TestInvariants:
             CorruptionConfig(replace_mask_frac=0.7).validate()
 
     def test_subset_mode_shrinks_loss_set(self):
-        ids = make_sequence(100)
-        cfg = CorruptionConfig(subset_loss_fraction=0.15)
-        out = corrupt_sequence(ids, 0.5, VOCAB_SIZE, rng(4), cfg)
-        assert out.loss_set.size <= round_half_up(0.15 * 100)
-        assert np.isin(out.loss_set, out.mask_set).all()
-        np.testing.assert_array_equal(out.labels, out.original[out.loss_set])
+        seqs = [make_sequence(100, seed=s) for s in range(3)]
+        outcomes, _, _ = corrupt_batch(seqs, 0.5, VOCAB_SIZE, [rng(s) for s in range(3)])
+        labels, rows, cols = restrict_loss_budget(*collate_targets(outcomes), 300, 0.15, rng(4))
+        assert labels.size == round_half_up(0.15 * 300)
+        for row, col, label in zip(rows, cols, labels):
+            assert col in outcomes[row].mask_set
+            assert label == seqs[row][col]

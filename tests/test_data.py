@@ -1,5 +1,3 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,15 +11,17 @@ from masksched.data import (
     SPECIAL_TOKENS,
     UNK_ID,
     Vocab,
-    batches,
     build_vocab,
-    decode,
     encode,
     epoch_permutation,
     load_vocab,
+    pad_batch,
     save_vocab,
     synthetic_zipf_corpus,
 )
+from masksched.model import ModelConfig
+from masksched.schedule import parse_schedule
+from masksched.trainer import TrainConfig, batch_indices, train
 
 
 class TestBuildVocab:
@@ -58,7 +58,7 @@ class TestBuildVocab:
     def test_round_trip_ids(self):
         vocab = build_vocab(["a b c b c c"], max_size=10)
         for i, token in enumerate(vocab.tokens):
-            assert vocab.id_of[token] == i
+            assert vocab.lookup(token) == i
 
 
 class TestEncode:
@@ -96,7 +96,9 @@ class TestEncode:
         line = " ".join(words)
         expected = [w.lower() if w.lower() in ("a", "b") else "[UNK]" for w in words]
         expected = expected[: max_len - 2]
-        assert decode(vocab, encode(vocab, line, max_len)) == " ".join(expected)
+        ids = encode(vocab, line, max_len)
+        assert ids[0] == CLS_ID and ids[-1] == SEP_ID
+        assert [vocab.tokens[i] for i in ids[1:-1]] == expected
 
 
 class TestBatches:
@@ -106,39 +108,38 @@ class TestBatches:
     def test_every_sequence_once(self):
         vocab = build_vocab(["a b a"], max_size=7)
         ds = self.make_dataset(4, vocab)
-        got = list(batches(ds, 2, seed=3))
-        assert len(got) == 2
-        seen = Counter()
-        for ids, real in got:
-            for row in range(ids.shape[0]):
-                seen[tuple(ids[row][real[row]])] += 1
-        want = Counter(tuple(s) for s in ds)
-        assert seen == want
+        ids, real = pad_batch(ds)
+        assert ids.shape == (4, max(len(s) for s in ds))
+        for row, seq in enumerate(ds):
+            np.testing.assert_array_equal(ids[row][real[row]], seq)
 
     def test_same_seed_identical(self):
-        vocab = build_vocab(["a b a"], max_size=7)
-        ds = self.make_dataset(7, vocab)
-        b1 = list(batches(ds, 2, seed=7))
-        b2 = list(batches(ds, 2, seed=7))
-        for (i1, m1), (i2, m2) in zip(b1, b2):
-            np.testing.assert_array_equal(i1, i2)
-            np.testing.assert_array_equal(m1, m2)
+        first = [batch_indices(7, 2, seed=7, step=s) for s in range(8)]
+        second = [batch_indices(7, 2, seed=7, step=s) for s in range(8)]
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
 
     def test_remainder_batch_kept(self):
-        vocab = build_vocab(["a b a"], max_size=7)
-        ds = self.make_dataset(5, vocab)
-        got = list(batches(ds, 2, seed=0))
-        assert [ids.shape[0] for ids in (g[0] for g in got)] == [2, 2, 1]
+        sizes = [batch_indices(5, 2, seed=0, step=s).size for s in range(6)]
+        assert sizes == [2, 2, 1, 2, 2, 1]
 
     def test_padding_uses_pad_id(self):
-        vocab = build_vocab(["a b a"], max_size=7)
-        ds = self.make_dataset(2, vocab)
-        ids, real = next(batches(ds, 2, seed=0))
-        assert (ids[~real] == PAD_ID).all()
+        a = np.array([CLS_ID, 7, 8, SEP_ID])
+        b = np.array([CLS_ID, SEP_ID])
+        ids, real = pad_batch([a, b])
+        np.testing.assert_array_equal(ids, [a, [CLS_ID, SEP_ID, PAD_ID, PAD_ID]])
+        np.testing.assert_array_equal(real, [[True] * 4, [True, True, False, False]])
 
     def test_empty_dataset_rejected(self):
+        vocab = build_vocab(["a b a"], max_size=7)
+        model_cfg = ModelConfig(
+            n_layers=1, n_heads=1, d_model=4, d_ff=8, vocab_size=vocab.size, max_seq_len=8
+        )
+        train_cfg = TrainConfig(
+            total_steps=1, batch_size=2, schedule=parse_schedule("constant-0.15", 1)
+        )
         with pytest.raises(ValueError, match="empty dataset"):
-            next(batches([], 2, seed=0))
+            train(model_cfg, train_cfg, [], vocab)
 
     @settings(max_examples=30)
     @given(n=st.integers(min_value=1, max_value=60), seed=st.integers(0, 2**31))

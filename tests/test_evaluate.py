@@ -75,6 +75,17 @@ class TestEvalMlm:
         )
         assert digest1 == digest2
 
+    def test_pinned_loss_and_masks(self, toy):
+        # The mask digest depends on the seeded generators alone; the loss
+        # may move in the last bits with another BLAS summation order.
+        _, dataset = toy
+        cfg = EvalConfig(masking_rate=0.3, seed=4, n_batches=3)
+        loss, digest = eval_mlm(
+            init_params(CFG), CFG, dataset, cfg, batch_size=8, return_mask_digest=True
+        )
+        assert digest == "42eda49ab712299a11e5616b340b8bdb354b99e7ea4617ddd0277b5550ad0cc0"
+        assert abs(loss - 2.479871579634812) <= 1e-12 * 2.479871579634812
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             eval_mlm(uniform_params(CFG), CFG, [], EvalConfig())

@@ -285,6 +285,19 @@ class TestCheckpointIO:
         with pytest.raises(ValueError, match="trailing bytes"):
             load_checkpoint(str(path))
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        header = {"step": 3, "config": {"d": 1}, "rng": {"seed": 0}}
+        save_checkpoint(str(path), header, init_params(TINY))
+        before = path.read_bytes()
+        # the second tensor cannot be written as float64, so the save fails
+        # after the header and the first tensor are out
+        bad = {"w": np.ones(4), "x": np.array(["not a number"])}
+        with pytest.raises(ValueError):
+            save_checkpoint(str(path), header, bad)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
+
     def test_param_shapes_cover_params(self):
         params = init_params(SMALL)
         shapes = param_shapes(SMALL)
