@@ -5,9 +5,11 @@ Step-vs-quality points (higher is better) are fit with the saturating form
     f(t) = c1 - c2 * exp(-(c3 * t) ** c4),   c2, c3, c4 > 0,
 
 which rises monotonically from c1 - c2 at t = 0 toward the asymptote c1.
-Solving f(t) = target ("crossover") for a fast schedule at the baseline's
-best value, then dividing the baseline's total steps by that crossover step,
-yields the training speedup.
+The fit is one Levenberg-Marquardt least-squares solve from a data-derived
+start, and ``converged`` is the solver's status. Solving f(t) = target
+("crossover") by the closed-form inverse for a fast schedule at the
+baseline's best value, then dividing the baseline's total steps by that
+crossover step, yields the training speedup.
 
 Series files are CSV with header ``step,value[,schedule]``; plots are
 standalone SVG 1.1, byte-deterministic for identical input.
@@ -21,9 +23,9 @@ from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
-_RSS_REL_TOL = 1e-12
+from .data import atomic_write
 
 
 @dataclass
@@ -58,20 +60,14 @@ def speedup_model(t, c1: float, c2: float, c3: float, c4: float):
     return float(value) if value.ndim == 0 else value
 
 
-def fit_speedup_curve(
-    steps,
-    values,
-    n_starts: int = 8,
-    max_rounds: int = 16,
-    rng_seed: int = 0,
-) -> RegressionFit:
-    """Least-squares fit by multi-start Nelder-Mead simplex descent.
+def fit_speedup_curve(steps, values) -> RegressionFit:
+    """Least-squares fit by Levenberg-Marquardt from a data-derived start.
 
-    c2, c3, c4 are log-parameterized to enforce positivity. Starting point
-    per the initialization recipe: c1 above the max value, c2 spanning the
-    value range, c3 at the reciprocal median step, c4 = 1. Convergence is
-    declared when a full restart round improves the RSS by less than 1e-12
-    relative; points are sorted internally so the fit is invariant to input
+    c2, c3, c4 are log-parameterized to enforce positivity. The start sets
+    c1 above the max value, c2 to the value range, c3 to the reciprocal
+    median step and c4 = 1. ``converged`` is the solver's status
+    (``least_squares(...).success``) and is False when the final RSS is not
+    finite. Points are sorted internally so the fit is invariant to input
     order.
     """
     steps = np.asarray(steps, dtype=np.float64)
@@ -87,94 +83,62 @@ def fit_speedup_curve(
 
     vmax, vmin = float(values.max()), float(values.min())
     vrange = vmax - vmin
+    median_step = float(np.median(steps[steps > 0])) if (steps > 0).any() else 1.0
     if vrange <= 1e-9 * max(1.0, abs(vmax)):
         mean = float(values.mean())
         rss = float(((values - mean) ** 2).sum())
         return RegressionFit(
             c1=mean,
             c2=0.0,
-            c3=1.0 / float(np.median(steps[steps > 0])) if (steps > 0).any() else 1.0,
+            c3=1.0 / median_step,
             c4=1.0,
             rss=rss,
             converged=True,
             degenerate=True,
         )
 
-    def rss_of(theta: np.ndarray) -> float:
+    def residuals(theta: np.ndarray) -> np.ndarray:
         c1, u2, u3, u4 = theta
+        # An overflowing trial step yields inf/nan residuals, which the
+        # solver rejects, instead of raising.
         with np.errstate(over="ignore", invalid="ignore"):
-            resid = values - (c1 - math.exp(u2) * np.exp(-((math.exp(u3) * steps) ** math.exp(u4))))
-        if not np.isfinite(resid).all():
-            return math.inf
-        return float((resid * resid).sum())
+            return values - (c1 - np.exp(u2) * np.exp(-((np.exp(u3) * steps) ** np.exp(u4))))
 
-    median_step = float(np.median(steps[steps > 0])) if (steps > 0).any() else 1.0
-    theta0 = np.array(
-        [vmax + 0.05 * vrange, math.log(vrange), math.log(1.0 / median_step), 0.0]
-    )
-    rng = np.random.default_rng(rng_seed)
-
-    def polish(theta: np.ndarray):
-        res = minimize(
-            rss_of,
-            theta,
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-16, "maxfev": 20_000, "maxiter": 20_000},
-        )
-        return res.x, float(res.fun)
-
-    best_theta, best_rss = polish(theta0)
-    converged = False
-    for round_idx in range(max_rounds):
-        prev = best_rss
-        scale = 0.5**round_idx
-        for _ in range(n_starts):
-            start = best_theta + rng.normal(0.0, scale, size=4) * np.array(
-                [0.2 * vrange, 1.0, 1.0, 0.5]
-            )
-            theta, rss = polish(start)
-            if rss < best_rss:
-                best_theta, best_rss = theta, rss
-        best_theta, best_rss = polish(best_theta)
-        if prev - best_rss <= _RSS_REL_TOL * max(prev, 1e-300):
-            converged = True
-            break
-
-    c1, u2, u3, u4 = best_theta
+    theta0 = np.array([vmax + 0.05 * vrange, math.log(vrange), math.log(1.0 / median_step), 0.0])
+    # Series whose best fit runs off toward c2, c3 -> inf, c4 -> 0 (a power
+    # law in the limit) need several thousand evaluations to meet the
+    # default tolerances, far above scipy's default cap of 100 per parameter.
+    result = least_squares(residuals, theta0, method="lm", max_nfev=20_000)
+    rss = float(result.fun @ result.fun)
+    c1, u2, u3, u4 = result.x
+    with np.errstate(over="ignore"):
+        c2, c3, c4 = np.exp([u2, u3, u4])
     return RegressionFit(
         c1=float(c1),
-        c2=math.exp(u2),
-        c3=math.exp(u3),
-        c4=math.exp(u4),
-        rss=best_rss,
-        converged=converged,
+        c2=float(c2),
+        c3=float(c3),
+        c4=float(c4),
+        rss=rss,
+        converged=bool(result.success) and math.isfinite(rss),
     )
 
 
-def crossover_step(fit: RegressionFit, target: float, rel_tol: float = 1e-10) -> float | None:
+def crossover_step(fit: RegressionFit, target: float) -> float | None:
     """The unique t with f(t) == target, or None when the target is unreachable.
 
     Targets at or above the asymptote c1 are unreachable; targets at or
-    below f(0) = c1 - c2 return 0. Solved by bisection on the strictly
-    increasing curve.
+    below f(0) = c1 - c2 return 0. Otherwise the closed-form inverse
+    t = ln(c2 / (c1 - target)) ** (1 / c4) / c3, evaluated as
+    (ln(c2 / (c1 - target)) / c3 ** c4) ** (1 / c4) = (t ** c4) ** (1 / c4)
+    so that fits with c3 >> 1 and c4 << 1 overflow no intermediate.
     """
     if not fit.converged:
         raise ValueError("cannot solve crossover on a non-converged fit")
     if target >= fit.c1:
         return None
-    if fit.degenerate or target <= fit.c1 - fit.c2:
+    if target <= fit.c1 - fit.c2:
         return 0.0
-    hi = 1.0 / fit.c3
-    while fit(hi) < target:
-        hi *= 2.0
-    lo = 0.0
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if fit(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return (math.log(fit.c2 / (fit.c1 - target)) / fit.c3**fit.c4) ** (1.0 / fit.c4)
 
 
 def speedup_from_steps(baseline_total_steps: float, crossover: float) -> float:
@@ -209,6 +173,7 @@ def load_series_csv(path: str, default_name: str | None = None) -> dict[str, tup
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _W, _H = 720.0, 480.0
 _ML, _MR, _MT, _MB = 70.0, 20.0, 20.0, 50.0
+_CURVE_POINTS = 200
 
 
 def _fmt(x: float) -> str:
@@ -217,10 +182,9 @@ def _fmt(x: float) -> str:
 
 def emit_plot(
     series: dict[str, tuple[np.ndarray, np.ndarray]],
-    fits: dict[str, RegressionFit] | None = None,
-    path: str = "plot.svg",
+    fits: dict[str, RegressionFit] | None,
+    path: str,
     crossovers: dict[str, float] | None = None,
-    n_curve_points: int = 200,
 ) -> None:
     """Standalone SVG: raw points per series, fitted curves, crossover markers."""
     if not series:
@@ -278,7 +242,7 @@ def emit_plot(
     for name in sorted(fits):
         fit = fits[name]
         color = colors.get(name, _PALETTE[(len(names) + sorted(fits).index(name)) % len(_PALETTE)])
-        grid = np.linspace(x_lo, x_hi, n_curve_points)
+        grid = np.linspace(x_lo, x_hi, _CURVE_POINTS)
         curve = fit(grid)
         d = "M " + " L ".join(f"{_fmt(sx(float(x)))} {_fmt(sy(float(y)))}" for x, y in zip(grid, curve))
         parts.append(f'<path class="fit" d="{d}" stroke="{color}" fill="none" stroke-width="1.5"/>')
@@ -295,5 +259,5 @@ def emit_plot(
             f'<text x="{_fmt(_W - _MR - 146)}" y="{_fmt(y)}" font-size="12">{escape(name)}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

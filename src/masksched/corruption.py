@@ -56,7 +56,6 @@ class MaskOutcome:
     0/1 substitution flag per position.
     """
 
-    original: np.ndarray
     corrupted: np.ndarray
     mask_set: np.ndarray
     loss_set: np.ndarray
@@ -74,7 +73,6 @@ def round_half_up(x: float) -> int:
 
 
 def sample_mask(
-    length: int,
     maskable: np.ndarray,
     rate: float,
     rng: np.random.Generator,
@@ -126,7 +124,6 @@ def apply_bert_corruption(
                 N_SPECIALS, vocab_size, size=n_random
             )
     return MaskOutcome(
-        original=ids,
         corrupted=corrupted,
         mask_set=mask_set,
         loss_set=mask_set,
@@ -165,7 +162,6 @@ def apply_rts(
             draws = draws + (draws >= ids[positions])
             corrupted[positions] = draws
     return MaskOutcome(
-        original=ids,
         corrupted=corrupted,
         mask_set=np.sort(maskable[flags == 1]),
         loss_set=maskable,
@@ -192,7 +188,7 @@ def corrupt_sequence(
         return None
     if config.objective == "rts":
         return apply_rts(ids, rate, vocab_size, rng)
-    mask_set = sample_mask(len(ids), maskable, rate, rng, config.min_masked)
+    mask_set = sample_mask(maskable, rate, rng, config.min_masked)
     return apply_bert_corruption(ids, mask_set, vocab_size, rng, config)
 
 

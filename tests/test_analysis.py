@@ -3,6 +3,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masksched.analysis import (
     RegressionFit,
@@ -16,6 +18,17 @@ from masksched.analysis import (
 
 TRUE = (0.85, 0.4, 5e-5, 1.2)
 STEPS = np.array([5000.0, 10000.0, 20000.0, 30000.0, 40000.0, 50000.0, 60000.0, 70000.0])
+
+# A plateauing series whose best fit runs off toward c2, c3 -> inf and
+# c4 -> 0; trial steps on the way overflow exp.
+OVERFLOW_STEPS = [
+    127387.33151438965, 206202.51504127818, 250192.3849167509, 458227.8112028404,
+    515964.5154143983, 715751.8410988367, 855969.551326906,
+]
+OVERFLOW_VALUES = [
+    0.6854028255974061, 0.7884662218456993, 0.7889298061821622, 0.8116995810554224,
+    0.792844034098172, 0.8020415539466976, 0.8046114938251496,
+]
 
 
 def synthetic_values(noise=0.0, seed=0):
@@ -55,6 +68,29 @@ class TestFit:
         fit2 = fit_speedup_curve(STEPS[perm], values[perm])
         assert fit1.to_json() == fit2.to_json()
 
+    def test_overflowing_trial_step_does_not_raise(self):
+        fit = fit_speedup_curve(OVERFLOW_STEPS, OVERFLOW_VALUES)
+        assert fit.converged
+        assert math.isfinite(fit.rss)
+        assert fit.rss < ((np.array(OVERFLOW_VALUES) - np.mean(OVERFLOW_VALUES)) ** 2).sum()
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_rss_at_most_true_parameters(self, data):
+        c1 = data.draw(st.floats(0.3, 0.95))
+        c2 = data.draw(st.floats(0.05, c1))
+        c4 = data.draw(st.floats(0.4, 3.0))
+        grid = data.draw(st.lists(st.integers(1, 10**6), min_size=4, max_size=13, unique=True))
+        steps = np.sort(np.array(grid, dtype=np.float64))
+        c3 = math.exp(data.draw(st.floats(-1.0, 1.0))) / float(np.median(steps))
+        noise = data.draw(st.sampled_from([0.0, 1e-4, 1e-3, 1e-2]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        truth = speedup_model(steps, c1, c2, c3, c4)
+        values = truth + noise * rng.standard_normal(steps.size)
+        true_rss = float(((values - truth) ** 2).sum())
+        fit = fit_speedup_curve(steps, values)
+        assert fit.rss <= true_rss * (1 + 1e-9) + 1e-24
+
     def test_fitted_curve_is_monotone(self):
         # strictly increasing wherever the increment is representable in
         # float64 (far beyond the data, c2*exp(...) is absorbed below one
@@ -93,6 +129,19 @@ class TestCrossover:
         for t_star in (5000.0, 12_345.0, 42_000.0, 70_000.0):
             back = crossover_step(fit, fit(t_star))
             assert abs(back - t_star) / t_star < 1e-6
+
+    def test_runaway_fit_does_not_overflow(self):
+        # The fit of OVERFLOW_*: for targets near c1, ln(c2 / (c1 - target))
+        # ** (1 / c4) = c3 * t exceeds the float64 range inside the data.
+        c1, c2 = 0.8024991223447999, 1.0835306248092685e198
+        c3, c4 = 2.488366414704157e302, 0.008653616856188756
+        fit = RegressionFit(c1, c2, c3, c4, rss=0.0, converged=True)
+        for target in (0.79, 0.8024, 0.80249):
+            t = crossover_step(fit, target)
+            assert OVERFLOW_STEPS[0] < t < 2 * OVERFLOW_STEPS[-1]
+            # f(t) with (c3 * t) ** c4 taken in log space
+            back = c1 - c2 * math.exp(-math.exp(c4 * (math.log(c3) + math.log(t))))
+            assert abs(back - target) < 1e-12
 
     def test_non_converged_fit_rejected(self):
         fit = RegressionFit(0.9, 0.3, 2e-4, 1.0, rss=1.0, converged=False)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -183,6 +184,16 @@ class TestSpeedupCommand:
         assert set(report["series"]) == {"fast", "base"}
         assert report["series"]["fast"]["speedup"] > 1.0
         assert svg.exists()
+
+    def test_overflowing_fit_exits_0(self, tmp_path, capsys):
+        from test_analysis import OVERFLOW_STEPS, OVERFLOW_VALUES
+
+        rows = ["step,value"] + [f"{s!r},{v!r}" for s, v in zip(OVERFLOW_STEPS, OVERFLOW_VALUES)]
+        path = tmp_path / "plateau.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["speedup", str(path), "--baseline", "plateau"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert math.isfinite(report["series"]["plateau"]["fit"]["rss"])
 
     def test_unknown_baseline_exits_2(self, tmp_path, capsys):
         path = self.write_series(tmp_path)

@@ -33,18 +33,18 @@ def make_sequence(n_tokens, seed=1, pad=0):
 
 class TestSampleMask:
     def test_rate_zero_no_min(self):
-        m = sample_mask(12, np.arange(1, 11), 0.0, rng(), min_masked=0)
+        m = sample_mask(np.arange(1, 11), 0.0, rng(), min_masked=0)
         assert m.size == 0
 
     def test_rate_one_takes_all(self):
         maskable = np.arange(1, 11)
-        m = sample_mask(12, maskable, 1.0, rng())
+        m = sample_mask(maskable, 1.0, rng())
         np.testing.assert_array_equal(m, maskable)
 
     def test_million_trials_within_three_sigma(self):
         n = 10**6
         maskable = np.arange(n)
-        m = sample_mask(n, maskable, 0.3, rng(42), min_masked=0)
+        m = sample_mask(maskable, 0.3, rng(42), min_masked=0)
         sigma = math.sqrt(0.3 * 0.7 / n)
         assert abs(m.size / n - 0.3) < 3 * sigma
         # independent sampler over the same distribution agrees on the rate
@@ -53,11 +53,11 @@ class TestSampleMask:
 
     def test_empty_maskable_with_positive_rate_rejected(self):
         with pytest.raises(ValueError, match="nothing to mask"):
-            sample_mask(4, np.array([], dtype=int), 0.5, rng())
+            sample_mask(np.array([], dtype=int), 0.5, rng())
 
     def test_force_include_on_empty_draw(self):
         maskable = np.arange(3, 7)
-        m = sample_mask(8, maskable, 1e-12, rng(0), min_masked=1)
+        m = sample_mask(maskable, 1e-12, rng(0), min_masked=1)
         assert m.size == 1
         assert m[0] in maskable
 
