@@ -5,8 +5,9 @@ Step-vs-quality points (higher is better) are fit with the saturating form
     f(t) = c1 - c2 * exp(-(c3 * t) ** c4),   c2, c3, c4 > 0,
 
 which rises monotonically from c1 - c2 at t = 0 toward the asymptote c1.
-The fit is one Levenberg-Marquardt least-squares solve from a data-derived
-start, and ``converged`` is the solver's status. Solving f(t) = target
+The fit is Levenberg-Marquardt least squares from three data-derived starts
+that differ only in c4, keeping the best; ``converged`` is the solver's
+status for that start. Solving f(t) = target
 ("crossover") by the closed-form inverse for a fast schedule at the
 baseline's best value, then dividing the baseline's total steps by that
 crossover step, yields the training speedup.
@@ -55,20 +56,29 @@ class RegressionFit:
 
 def speedup_model(t, c1: float, c2: float, c3: float, c4: float):
     t = np.asarray(t, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        value = c1 - c2 * np.exp(-((c3 * t) ** c4))
+    # (c3 * t) ** c4 in log space, so runaway fits (c3 near the float64
+    # limit, c4 << 1) stay finite where c3 * t would overflow; t = 0 gives
+    # log 0 = -inf and f(0) = c1 - c2.
+    with np.errstate(divide="ignore", over="ignore"):
+        value = c1 - c2 * np.exp(-np.exp(c4 * (np.log(c3) + np.log(t))))
     return float(value) if value.ndim == 0 else value
 
 
-def fit_speedup_curve(steps, values) -> RegressionFit:
-    """Least-squares fit by Levenberg-Marquardt from a data-derived start.
+# ln c4 at the starts of the fit: a single start from c4 = 1 can stop at a
+# worse local minimum on short noisy series.
+_START_LOG_SHAPES = (0.0, math.log(0.5), math.log(2.0))
 
-    c2, c3, c4 are log-parameterized to enforce positivity. The start sets
-    c1 above the max value, c2 to the value range, c3 to the reciprocal
-    median step and c4 = 1. ``converged`` is the solver's status
-    (``least_squares(...).success``) and is False when the final RSS is not
-    finite. Points are sorted internally so the fit is invariant to input
-    order.
+
+def fit_speedup_curve(steps, values) -> RegressionFit:
+    """Least-squares fit by Levenberg-Marquardt from data-derived starts.
+
+    c2, c3, c4 are log-parameterized to enforce positivity. Every start sets
+    c1 above the max value, c2 to the value range and c3 to the reciprocal
+    median step; c4 is 1, 0.5 or 2. The result is the converged solve with
+    the lowest RSS, else the non-converged one with the lowest finite RSS.
+    ``converged`` is that solve's status (``least_squares(...).success``)
+    and is False when its final RSS is not finite. Points are sorted
+    internally so the fit is invariant to input order.
     """
     steps = np.asarray(steps, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -99,27 +109,35 @@ def fit_speedup_curve(steps, values) -> RegressionFit:
 
     def residuals(theta: np.ndarray) -> np.ndarray:
         c1, u2, u3, u4 = theta
-        # An overflowing trial step yields inf/nan residuals, which the
-        # solver rejects, instead of raising.
+        # An overflowing trial step yields inf/nan residuals or the model's
+        # limiting value instead of raising.
         with np.errstate(over="ignore", invalid="ignore"):
-            return values - (c1 - np.exp(u2) * np.exp(-((np.exp(u3) * steps) ** np.exp(u4))))
+            return values - speedup_model(steps, c1, *np.exp([u2, u3, u4]))
 
-    theta0 = np.array([vmax + 0.05 * vrange, math.log(vrange), math.log(1.0 / median_step), 0.0])
-    # Series whose best fit runs off toward c2, c3 -> inf, c4 -> 0 (a power
-    # law in the limit) need several thousand evaluations to meet the
-    # default tolerances, far above scipy's default cap of 100 per parameter.
-    result = least_squares(residuals, theta0, method="lm", max_nfev=20_000)
-    rss = float(result.fun @ result.fun)
-    c1, u2, u3, u4 = result.x
-    with np.errstate(over="ignore"):
-        c2, c3, c4 = np.exp([u2, u3, u4])
-    return RegressionFit(
-        c1=float(c1),
-        c2=float(c2),
-        c3=float(c3),
-        c4=float(c4),
-        rss=rss,
-        converged=bool(result.success) and math.isfinite(rss),
+    theta0 = [vmax + 0.05 * vrange, math.log(vrange), math.log(1.0 / median_step)]
+
+    def solve(start_u4: float) -> RegressionFit:
+        # Series whose best fit runs off toward c2, c3 -> inf, c4 -> 0 (a
+        # power law in the limit) need several thousand evaluations to meet
+        # the default tolerances, far above scipy's default cap of 100 per
+        # parameter.
+        result = least_squares(residuals, theta0 + [start_u4], method="lm", max_nfev=20_000)
+        rss = float(result.fun @ result.fun)
+        c1, u2, u3, u4 = result.x
+        with np.errstate(over="ignore"):
+            c2, c3, c4 = np.exp([u2, u3, u4])
+        return RegressionFit(
+            c1=float(c1),
+            c2=float(c2),
+            c3=float(c3),
+            c4=float(c4),
+            rss=rss,
+            converged=bool(result.success) and math.isfinite(rss),
+        )
+
+    return min(
+        (solve(u4) for u4 in _START_LOG_SHAPES),
+        key=lambda fit: (not fit.converged, fit.rss if math.isfinite(fit.rss) else math.inf),
     )
 
 

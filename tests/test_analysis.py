@@ -16,19 +16,10 @@ from masksched.analysis import (
     speedup_model,
 )
 
+from fit_series import LOCAL_MIN_SERIES, OVERFLOW_STEPS, OVERFLOW_VALUES
+
 TRUE = (0.85, 0.4, 5e-5, 1.2)
 STEPS = np.array([5000.0, 10000.0, 20000.0, 30000.0, 40000.0, 50000.0, 60000.0, 70000.0])
-
-# A plateauing series whose best fit runs off toward c2, c3 -> inf and
-# c4 -> 0; trial steps on the way overflow exp.
-OVERFLOW_STEPS = [
-    127387.33151438965, 206202.51504127818, 250192.3849167509, 458227.8112028404,
-    515964.5154143983, 715751.8410988367, 855969.551326906,
-]
-OVERFLOW_VALUES = [
-    0.6854028255974061, 0.7884662218456993, 0.7889298061821622, 0.8116995810554224,
-    0.792844034098172, 0.8020415539466976, 0.8046114938251496,
-]
 
 
 def synthetic_values(noise=0.0, seed=0):
@@ -73,6 +64,17 @@ class TestFit:
         assert fit.converged
         assert math.isfinite(fit.rss)
         assert fit.rss < ((np.array(OVERFLOW_VALUES) - np.mean(OVERFLOW_VALUES)) ** 2).sum()
+        # c3 * t overflows inside the data range; f and its inverse must not
+        for t_star in OVERFLOW_STEPS:
+            back = crossover_step(fit, fit(t_star))
+            assert abs(back - t_star) / t_star < 1e-6
+
+    @pytest.mark.parametrize("true_params,steps,values", LOCAL_MIN_SERIES)
+    def test_short_noisy_series_escapes_local_minimum(self, true_params, steps, values):
+        fit = fit_speedup_curve(steps, values)
+        true_rss = float(((np.array(values) - speedup_model(steps, *true_params)) ** 2).sum())
+        assert fit.converged
+        assert fit.rss <= true_rss
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
@@ -131,17 +133,16 @@ class TestCrossover:
             assert abs(back - t_star) / t_star < 1e-6
 
     def test_runaway_fit_does_not_overflow(self):
-        # The fit of OVERFLOW_*: for targets near c1, ln(c2 / (c1 - target))
-        # ** (1 / c4) = c3 * t exceeds the float64 range inside the data.
+        # A fit of OVERFLOW_*: for targets near c1, c3 * t and
+        # ln(c2 / (c1 - target)) ** (1 / c4) = c3 * t exceed the float64
+        # range inside the data.
         c1, c2 = 0.8024991223447999, 1.0835306248092685e198
         c3, c4 = 2.488366414704157e302, 0.008653616856188756
         fit = RegressionFit(c1, c2, c3, c4, rss=0.0, converged=True)
         for target in (0.79, 0.8024, 0.80249):
             t = crossover_step(fit, target)
             assert OVERFLOW_STEPS[0] < t < 2 * OVERFLOW_STEPS[-1]
-            # f(t) with (c3 * t) ** c4 taken in log space
-            back = c1 - c2 * math.exp(-math.exp(c4 * (math.log(c3) + math.log(t))))
-            assert abs(back - target) < 1e-12
+            assert abs(fit(t) - target) < 1e-12
 
     def test_non_converged_fit_rejected(self):
         fit = RegressionFit(0.9, 0.3, 2e-4, 1.0, rss=1.0, converged=False)

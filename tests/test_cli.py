@@ -11,6 +11,8 @@ import pytest
 from masksched.cli import main
 from masksched.data import synthetic_zipf_corpus
 
+from fit_series import OVERFLOW_STEPS, OVERFLOW_VALUES
+
 
 @pytest.fixture(scope="module")
 def corpus_path(tmp_path_factory):
@@ -186,8 +188,6 @@ class TestSpeedupCommand:
         assert svg.exists()
 
     def test_overflowing_fit_exits_0(self, tmp_path, capsys):
-        from test_analysis import OVERFLOW_STEPS, OVERFLOW_VALUES
-
         rows = ["step,value"] + [f"{s!r},{v!r}" for s, v in zip(OVERFLOW_STEPS, OVERFLOW_VALUES)]
         path = tmp_path / "plateau.csv"
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
