@@ -53,13 +53,16 @@ class MaskOutcome:
 
     For MLM, ``labels`` holds the original ids at ``loss_set`` positions.
     For RTS, ``loss_set`` is every maskable position and ``labels`` holds a
-    0/1 substitution flag per position.
+    0/1 substitution flag per position. ``maskable`` counts the row's
+    maskable positions; ``apply_bert_corruption``, which sees only the mask
+    set, leaves it None and ``corrupt_sequence`` fills it in.
     """
 
     corrupted: np.ndarray
     mask_set: np.ndarray
     loss_set: np.ndarray
     labels: np.ndarray
+    maskable: int | None = None
 
 
 def maskable_indices(ids: np.ndarray) -> np.ndarray:
@@ -106,11 +109,12 @@ def apply_bert_corruption(
 ) -> MaskOutcome:
     """80/10/10 corruption of the masked positions, sampled i.i.d. per token.
 
+    ``mask_set`` must be sorted ascending, as ``sample_mask`` returns it.
     Random replacements draw uniformly over non-special ids and may equal
     the original token (standard BERT behavior).
     """
     ids = np.asarray(ids, dtype=np.int64)
-    mask_set = np.sort(np.asarray(mask_set, dtype=np.int64))
+    mask_set = np.asarray(mask_set, dtype=np.int64)
     corrupted = ids.copy()
     k = mask_set.size
     if k:
@@ -166,6 +170,7 @@ def apply_rts(
         mask_set=np.sort(maskable[flags == 1]),
         loss_set=maskable,
         labels=flags,
+        maskable=maskable.size,
     )
 
 
@@ -182,6 +187,11 @@ def corrupt_sequence(
     contribute context but no loss terms).
     """
     config.validate()
+    return _corrupt_row(ids, rate, vocab_size, rng, config)
+
+
+def _corrupt_row(ids, rate, vocab_size, rng, config) -> MaskOutcome | None:
+    """``corrupt_sequence`` for a config the caller has validated."""
     ids = np.asarray(ids, dtype=np.int64)
     maskable = maskable_indices(ids)
     if maskable.size == 0:
@@ -189,7 +199,9 @@ def corrupt_sequence(
     if config.objective == "rts":
         return apply_rts(ids, rate, vocab_size, rng)
     mask_set = sample_mask(maskable, rate, rng, config.min_masked)
-    return apply_bert_corruption(ids, mask_set, vocab_size, rng, config)
+    outcome = apply_bert_corruption(ids, mask_set, vocab_size, rng, config)
+    outcome.maskable = maskable.size
+    return outcome
 
 
 def corrupt_batch(
@@ -202,10 +214,12 @@ def corrupt_batch(
     """Corrupt row i with ``rngs[i]`` and right-pad the result.
 
     Returns the per-row outcomes and the padded (ids, real_mask); rows with
-    nothing to mask enter the batch unchanged.
+    nothing to mask enter the batch unchanged. The config is validated once
+    for the batch.
     """
+    config.validate()
     outcomes = [
-        corrupt_sequence(seq, rate, vocab_size, rng, config)
+        _corrupt_row(seq, rate, vocab_size, rng, config)
         for seq, rng in zip(seqs, rngs, strict=True)
     ]
     ids, real = pad_batch([seq if o is None else o.corrupted for seq, o in zip(seqs, outcomes)])

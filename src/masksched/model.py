@@ -13,7 +13,10 @@ logits tensor is built. Per-layer activations are kept only for
 ``backward``; a forward-only call keeps just the final hidden state.
 
 Parameters live in a plain dict keyed by name; ``param_shapes`` defines the
-canonical ordering used everywhere, including the checkpoint format:
+canonical ordering used everywhere. ``init_params``, the gradients of
+``backward`` and ``load_checkpoint`` give dicts whose tensors view one flat
+float64 buffer in that order (``tensor_arena``), so the optimizer can run
+over the whole buffer at once. The same order is the checkpoint format:
 
     checkpoint := header-line + tensors
     header-line: one JSON object (compact, sorted keys) terminated by \\n,
@@ -121,29 +124,81 @@ def _is_zero_init(name: str) -> bool:
     return name.endswith((".shift", ".bq", ".bk", ".bv", ".bo", ".b1", ".b2", ".b"))
 
 
+def tensor_arena(
+    shapes: dict[str, tuple[int, ...]], copies: int = 1
+) -> tuple[np.ndarray, list[Params]]:
+    """A zeroed flat float64 buffer and, per copy, a dict of views into it.
+
+    Each dict holds one C-order view per name, laid out back to back in
+    ``shapes`` order; copy i covers ``buffer[i * N:(i + 1) * N]`` with N the
+    total element count. Writes through a view land in the buffer.
+    """
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    buffer = np.zeros(copies * sum(sizes))
+    copies_views: list[Params] = []
+    offset = 0
+    for _ in range(copies):
+        views: Params = {}
+        for (name, shape), size in zip(shapes.items(), sizes):
+            views[name] = buffer[offset : offset + size].reshape(shape)
+            offset += size
+        copies_views.append(views)
+    return buffer, copies_views
+
+
+def arena_buffer(tensors: Params) -> np.ndarray | None:
+    """The buffer of a one-copy ``tensor_arena`` dict, else None.
+
+    The dict counts as an arena when every entry is a C-contiguous view of
+    one flat float64 buffer and the entries' sizes add up to the buffer's,
+    the layout ``tensor_arena`` builds. The test is by identity and size, so
+    a dict that rebinds an arena's entries to other views of the same buffer
+    is not told apart.
+    """
+    views = list(tensors.values())
+    buffer = views[0].base if views else None
+    if (
+        buffer is None
+        or buffer.ndim != 1
+        or buffer.dtype != np.float64
+        or not all(t.base is buffer and t.flags.c_contiguous for t in views)
+        or sum(t.size for t in views) != buffer.size
+    ):
+        return None
+    return buffer
+
+
+def ravel_params(tensors: Params) -> np.ndarray:
+    """All tensors as one flat float64 vector in dict order, like ``np.ravel``:
+    the arena buffer itself when ``tensors`` is one, else a packed copy."""
+    buffer = arena_buffer(tensors)
+    if buffer is not None:
+        return buffer
+    return np.concatenate([np.ravel(t) for t in tensors.values()]).astype(np.float64, copy=False)
+
+
 def init_params(config: ModelConfig) -> Params:
-    """Normal(0, 0.02^2) weights; layer-norm scale 1, shifts and biases 0."""
+    """Normal(0, 0.02^2) weights; layer-norm scale 1, shifts and biases 0.
+
+    The tensors are views of one ``tensor_arena`` buffer.
+    """
     config.validate()
     rng = np.random.default_rng(config.init_seed)
-    params: Params = {}
-    for name, shape in param_shapes(config).items():
+    _, (params,) = tensor_arena(param_shapes(config))
+    for name, tensor in params.items():
         if _is_ln_scale(name):
-            params[name] = np.ones(shape)
-        elif _is_zero_init(name):
-            params[name] = np.zeros(shape)
-        else:
-            params[name] = rng.normal(0.0, INIT_STD, size=shape)
+            tensor.fill(1.0)
+        elif not _is_zero_init(name):
+            tensor[...] = rng.normal(0.0, INIT_STD, size=tensor.shape)
     return params
 
 
-def zeros_like_params(params: Params) -> Params:
-    return {name: np.zeros_like(tensor) for name, tensor in params.items()}
-
-
 def _layernorm_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray):
-    mean = x.mean(axis=-1, keepdims=True)
+    # np.add.reduce / d is what ndarray.mean computes, minus its Python layer
+    d = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True) / d
     centered = x - mean
-    var = (centered**2).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered**2, axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv_std
     return xhat * scale + shift, (xhat, inv_std)
@@ -154,8 +209,9 @@ def _layernorm_backward(dy: np.ndarray, cache, scale: np.ndarray):
     dscale = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
     dshift = dy.sum(axis=tuple(range(dy.ndim - 1)))
     dxhat = dy * scale
-    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
-    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    d = dy.shape[-1]
+    mean_dxhat = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+    mean_dxhat_xhat = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
     dx = inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
     return dx, dscale, dshift
 
@@ -364,7 +420,7 @@ def _targets_loss(params, config, ids, real_mask, targets, keep_activations=Fals
 
 
 def _backward_from_heads(params, config, ids, out, d_mlm, d_rts) -> Params:
-    grads = zeros_like_params(params)
+    _, (grads,) = tensor_arena({name: tensor.shape for name, tensor in params.items()})
     cache = out.cache
     hfin = cache["hfin"]
     d_hfin = np.zeros_like(hfin)
@@ -560,18 +616,30 @@ def save_checkpoint(path: str, header: dict, tensors: dict[str, np.ndarray]) -> 
             fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
 
 
+def read_checkpoint_header(fh, path: str) -> dict:
+    """Read and check the header line of a checkpoint opened at ``fh``."""
+    header = json.loads(fh.readline().decode("utf-8"))
+    if header.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint: {path}")
+    return header
+
+
+def read_checkpoint_payload(fh, path: str, buffers: Iterable[np.ndarray]) -> None:
+    """Read the tensor bytes after the header straight into ``buffers``, in
+    order; they must cover the payload exactly."""
+    for buffer in buffers:
+        if fh.readinto(buffer) != buffer.nbytes:
+            raise ValueError(f"truncated checkpoint: {path}")
+        if not np.little_endian:
+            buffer.byteswap(inplace=True)
+    if fh.read(1):
+        raise ValueError(f"trailing bytes after the last tensor: {path}")
+
+
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and tensors of a checkpoint; the tensors view one arena buffer."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint: {path}")
-        tensors: dict[str, np.ndarray] = {}
-        for name, shape in header["tensors"]:
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"truncated checkpoint: {path}")
-            tensors[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
-        if fh.read(1):
-            raise ValueError(f"trailing bytes after the last tensor: {path}")
+        header = read_checkpoint_header(fh, path)
+        buffer, (tensors,) = tensor_arena({name: tuple(shape) for name, shape in header["tensors"]})
+        read_checkpoint_payload(fh, path, [buffer])
     return header, tensors

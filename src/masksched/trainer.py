@@ -5,6 +5,11 @@ via SeedSequence, so a run is bit-reproducible and a checkpoint-resume split
 produces exactly the same bytes as an uninterrupted run. The optimizer state
 is stored in the checkpoint alongside the parameters.
 
+Parameters, gradients and the AdamW moments are flat float64 buffers with
+per-tensor views (``model.tensor_arena``); ``OptState`` keeps the parameter
+buffer and a separate [m | v] buffer, and ``adamw_step`` updates them block
+by block. A training checkpoint stores params, m and v in that buffer order.
+
 Run directory layout: config.json, vocab.txt, metrics.jsonl,
 checkpoints/step-N.ckpt. Metrics records are JSON lines with keys
 {step, rate, lr, loss, eval_loss?, wall_ms?}; wall_ms is written only when
@@ -27,7 +32,6 @@ from .corruption import (
     CorruptionConfig,
     MaskOutcome,
     collate_targets,
-    maskable_indices,
     round_half_up,
 )
 from .data import Vocab, atomic_write, epoch_permutation
@@ -95,11 +99,37 @@ class TrainConfig:
         self.eval.validate()
 
 
-@dataclass
+# Elements per block of the AdamW walk over the flat buffers: each block's
+# temporaries live in two preallocated scratch rows of this length.
+_ADAMW_BLOCK = 32_768
+
+
 class OptState:
-    m: Params
-    v: Params
-    step: int = 0
+    """AdamW state for one params dict, over flat float64 buffers.
+
+    ``params`` is the parameter buffer the params dict's entries view (see
+    ``model.tensor_arena``). ``moments`` is a separate [m | v] buffer of 2N
+    floats, and ``m``/``v`` are per-tensor views of its halves in the same
+    order. The moments live apart from the parameters so that a caller that
+    keeps the params and drops the state (evaluation) frees them.
+    """
+
+    def __init__(self, params: Params, step: int = 0):
+        buffer = model.arena_buffer(params)
+        if buffer is None:  # a hand-built dict: repack it into one buffer
+            buffer, (views,) = model.tensor_arena({k: t.shape for k, t in params.items()})
+            for name, view in views.items():
+                view[...] = params[name]
+            params.update(views)
+        shapes = {name: tensor.shape for name, tensor in params.items()}
+        self.params = buffer
+        self.moments, (self.m, self.v) = model.tensor_arena(shapes, copies=2)
+        self.step = step
+        self._decay = np.concatenate(
+            [np.full(tensor.size, _decays(name)) for name, tensor in params.items()]
+        )
+        self._scratch = np.empty((2, min(_ADAMW_BLOCK, buffer.size)))
+        self._finite = np.empty(self._scratch.shape[1], dtype=bool)
 
 
 @dataclass
@@ -153,7 +183,9 @@ def lr_at(config: TrainConfig, t: float) -> float:
 
 
 def init_opt_state(params: Params) -> OptState:
-    return OptState(m=model.zeros_like_params(params), v=model.zeros_like_params(params))
+    """Zeroed AdamW state for ``params``; a dict that is not a
+    ``model.tensor_arena`` has its entries replaced by views of a new one."""
+    return OptState(params)
 
 
 def _decays(name: str) -> bool:
@@ -168,26 +200,52 @@ def adamw_step(
     lr: float,
     config: TrainConfig,
 ) -> None:
-    """One bias-corrected decoupled-weight-decay update, in place."""
+    """One bias-corrected decoupled-weight-decay update, in place.
+
+    The update walks the flat parameter, gradient and moment buffers
+    ``_ADAMW_BLOCK`` elements at a time with ``out=`` ufuncs into the
+    state's scratch, so no temporary grows with the model. Per element it
+    runs the same float operations in the same order as a per-tensor
+    update, so the result is the same to the bit; entries that are not
+    decayed skip the decay add through ``where=``.
+    """
+    if model.arena_buffer(params) is not opt.params:
+        raise ValueError("params do not view the optimizer's parameter buffer")
     opt.step += 1
     t = opt.step
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    for name, theta in params.items():
-        g = grads[name]
-        if not np.isfinite(g).all():
+    theta = opt.params
+    g = model.ravel_params({name: grads[name] for name in params})
+    n = theta.size
+    m, v = opt.moments[:n], opt.moments[n:]
+    for lo in range(0, n, _ADAMW_BLOCK):
+        hi = min(lo + _ADAMW_BLOCK, n)
+        gb, mb, vb, tb = g[lo:hi], m[lo:hi], v[lo:hi], theta[lo:hi]
+        a, u = opt._scratch[0, : hi - lo], opt._scratch[1, : hi - lo]
+        finite = np.isfinite(gb, out=opt._finite[: hi - lo])
+        if not finite.all():
+            ends = np.cumsum([tensor.size for tensor in params.values()])
+            name = list(params)[np.searchsorted(ends, lo + np.argmin(finite), side="right")]
             raise TrainingDiverged(t - 1, f"non-finite gradient in {name}")
-        m = opt.m[name]
-        v = opt.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + config.eps)
-        if _decays(name) and config.weight_decay:
-            update = update + config.weight_decay * theta
-        theta -= lr * update
+        np.multiply(gb, 1.0 - b1, out=a)
+        mb *= b1
+        mb += a
+        np.multiply(gb, 1.0 - b2, out=a)
+        a *= gb
+        vb *= b2
+        vb += a
+        np.divide(vb, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += config.eps
+        np.divide(mb, bc1, out=u)
+        u /= a
+        if config.weight_decay:
+            np.multiply(tb, config.weight_decay, out=a)
+            np.add(u, a, out=u, where=opt._decay[lo:hi])
+        u *= lr
+        tb -= u
 
 
 def clip_gradients(grads: Params, max_norm: float) -> float:
@@ -282,13 +340,26 @@ def save_training_checkpoint(
 
 
 def load_training_checkpoint(path: str) -> tuple[dict, Params, OptState]:
-    header, tensors = model.load_checkpoint(path)
-    params = {k: v for k, v in tensors.items() if not k.startswith("opt.")}
-    opt = OptState(
-        m={k[len("opt.m.") :]: v for k, v in tensors.items() if k.startswith("opt.m.")},
-        v={k[len("opt.v.") :]: v for k, v in tensors.items() if k.startswith("opt.v.")},
-        step=header["step"],
-    )
+    """Header, params and optimizer state of a training checkpoint.
+
+    The payload is read straight into the state's parameter buffer, which
+    the returned params view, and then into its moment buffer.
+    """
+    with open(path, "rb") as fh:
+        header = model.read_checkpoint_header(fh, path)
+        shapes = {
+            name: tuple(shape) for name, shape in header["tensors"] if not name.startswith("opt.")
+        }
+        expected = [
+            [prefix + name, list(shape)]
+            for prefix in ("", "opt.m.", "opt.v.")
+            for name, shape in shapes.items()
+        ]
+        if header["tensors"] != expected:
+            raise ValueError(f"tensors are not params, opt.m and opt.v in order: {path}")
+        _, (params,) = model.tensor_arena(shapes)
+        opt = OptState(params, step=header["step"])
+        model.read_checkpoint_payload(fh, path, (opt.params, opt.moments))
     return header, params, opt
 
 
@@ -399,7 +470,7 @@ def train(
             labels, rows, cols = collate_targets(outcomes)
             if labels.size == 0:
                 raise TrainingDiverged(t, "loss undefined: no maskable positions in batch")
-            maskable_total = sum(maskable_indices(s).size for s in seqs)
+            maskable_total = sum(o.maskable for o in outcomes if o is not None)
             fraction = train_config.corruption.subset_loss_fraction
             if fraction is not None:
                 labels, rows, cols = restrict_loss_budget(

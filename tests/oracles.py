@@ -158,3 +158,24 @@ def ref_finite_diff(loss_fn, params, coords, h: float):
         tensor[idx] = orig
         out.append((f_plus - f_minus) / (2.0 * h))
     return out
+
+
+def ref_adamw_step(params, grads, m, v, step, lr, config):
+    """One AdamW update tensor by tensor, in place; ``step`` counts from 1.
+
+    m and v are dicts of per-tensor moments. Weight decay skips layer-norm
+    scale and shift.
+    """
+    b1, b2 = config.beta1, config.beta2
+    bc1 = 1.0 - b1**step
+    bc2 = 1.0 - b2**step
+    for name, theta in params.items():
+        g = grads[name]
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + config.eps)
+        if not name.endswith((".scale", ".shift")) and config.weight_decay:
+            update = update + config.weight_decay * theta
+        theta -= lr * update

@@ -221,3 +221,19 @@ class TestInvariants:
         for row, col, label in zip(rows, cols, labels):
             assert col in outcomes[row].mask_set
             assert label == seqs[row][col]
+
+
+class TestCorruptBatch:
+    @pytest.mark.parametrize("objective", ["mlm", "rts"])
+    def test_outcomes_carry_maskable_count(self, objective):
+        seqs = [make_sequence(n, seed=n, pad=2) for n in (3, 9, 20)] + [np.array([CLS_ID, SEP_ID])]
+        cfg = CorruptionConfig(objective=objective)
+        outcomes, _, _ = corrupt_batch(seqs, 0.3, VOCAB_SIZE, [rng(s) for s in range(4)], cfg)
+        assert outcomes[-1] is None
+        for seq, out in zip(seqs[:-1], outcomes[:-1]):
+            assert out.maskable == maskable_indices(seq).size
+
+    def test_invalid_config_rejected(self):
+        cfg = CorruptionConfig(replace_mask_frac=0.7)
+        with pytest.raises(ValueError, match="sum to 1.0"):
+            corrupt_batch([make_sequence(5)], 0.3, VOCAB_SIZE, [rng()], cfg)

@@ -1,13 +1,21 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from masksched import trainer
 from masksched.corruption import CorruptionConfig, round_half_up
 from masksched.data import build_vocab, encode_corpus, synthetic_zipf_corpus
 from masksched.evaluate import EvalConfig
-from masksched.model import ModelConfig, init_params
+from masksched.model import (
+    ModelConfig,
+    init_params,
+    ravel_params,
+    save_checkpoint,
+    tensor_arena,
+)
 from masksched.schedule import parse_schedule
 from masksched.trainer import (
     TrainConfig,
@@ -17,8 +25,11 @@ from masksched.trainer import (
     init_opt_state,
     load_training_checkpoint,
     lr_at,
+    save_training_checkpoint,
     train,
 )
+
+from oracles import ref_adamw_step
 
 MODEL = ModelConfig(
     n_layers=1, n_heads=2, d_model=16, d_ff=32, vocab_size=40, max_seq_len=12, init_seed=1
@@ -110,6 +121,92 @@ class TestAdamW:
         opt = init_opt_state(params)
         with pytest.raises(TrainingDiverged):
             adamw_step(params, {"w": np.array([math.nan])}, opt, 0.1, cfg)
+
+
+class TestAdamWOracle:
+    SMALL = ModelConfig(
+        n_layers=2, n_heads=2, d_model=8, d_ff=16, vocab_size=16, max_seq_len=8, init_seed=5
+    )
+
+    @staticmethod
+    def random_grads(params, rng, arena=False):
+        """Normal draws with exact 0.0 and -0.0 entries mixed in, as one
+        ``tensor_arena`` (what ``model.backward`` returns) or separate arrays."""
+        if arena:
+            _, (grads,) = tensor_arena({name: t.shape for name, t in params.items()})
+        else:
+            grads = {name: np.empty(t.shape) for name, t in params.items()}
+        for g in grads.values():
+            g[...] = rng.normal(0.0, 1.0, size=g.shape)
+            pick = rng.random(g.shape)
+            g[pick < 0.1] = 0.0
+            g[pick > 0.9] = -0.0
+        return grads
+
+    # 97 cuts blocks across tensors and decay-mask boundaries
+    @pytest.mark.parametrize("arena", [True, False])
+    @pytest.mark.parametrize("block", [None, 97])
+    def test_five_steps_match_per_tensor_reference_bitwise(self, block, arena, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(trainer, "_ADAMW_BLOCK", block)
+        cfg = config(weight_decay=0.01)
+        params = init_params(self.SMALL)
+        opt = init_opt_state(params)
+        ref = {name: t.copy() for name, t in params.items()}
+        ref_m = {name: np.zeros_like(t) for name, t in params.items()}
+        ref_v = {name: np.zeros_like(t) for name, t in params.items()}
+        rng = np.random.default_rng(3)
+        for step in range(1, 6):
+            grads = self.random_grads(params, rng, arena)
+            lr = 0.01 * step
+            adamw_step(params, grads, opt, lr, cfg)
+            ref_adamw_step(ref, grads, ref_m, ref_v, step, lr, cfg)
+        assert opt.step == 5
+        for got, want in ((params, ref), (opt.m, ref_m), (opt.v, ref_v)):
+            for name in want:
+                np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+                assert (np.signbit(got[name]) == np.signbit(want[name])).all(), name
+
+    @pytest.mark.parametrize("name", ["tok_emb", "layer1.ff.w1", "rts_head.b"])
+    def test_nonfinite_gradient_names_tensor_and_step(self, name, monkeypatch):
+        monkeypatch.setattr(trainer, "_ADAMW_BLOCK", 97)
+        cfg = config()
+        params = init_params(self.SMALL)
+        opt = init_opt_state(params)
+        rng = np.random.default_rng(4)
+        for _ in range(2):
+            adamw_step(params, self.random_grads(params, rng), opt, 0.01, cfg)
+        grads = self.random_grads(params, rng)
+        grads[name].flat[-1] = math.nan
+        message = rf"^diverged at step 2: non-finite gradient in {name}$"
+        with pytest.raises(TrainingDiverged, match=message):
+            adamw_step(params, grads, opt, 0.01, cfg)
+
+    def test_params_not_viewing_the_state_are_rejected(self):
+        params = init_params(self.SMALL)
+        opt = init_opt_state(params)
+        copied = {name: t.copy() for name, t in params.items()}
+        with pytest.raises(ValueError, match="parameter buffer"):
+            adamw_step(copied, copied, opt, 0.01, config())
+
+    def test_step_allocates_no_whole_buffer_temporary(self):
+        medium = ModelConfig(
+            n_layers=4, n_heads=4, d_model=128, d_ff=512, vocab_size=2000, max_seq_len=64
+        )
+        params = init_params(medium)
+        opt = init_opt_state(params)
+        _, (grads,) = tensor_arena({name: t.shape for name, t in params.items()})
+        ravel_params(grads)[:] = np.random.default_rng(0).normal(size=opt.params.size)
+        cfg = config(weight_decay=0.01)
+        adamw_step(params, grads, opt, 0.01, cfg)
+        tracemalloc.start()
+        try:
+            adamw_step(params, grads, opt, 0.01, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a whole-buffer float64 temporary would be opt.params.nbytes (~10.5 MB)
+        assert peak < opt.params.nbytes / 20, peak
 
 
 class TestBatchIndices:
@@ -283,3 +380,38 @@ class TestCheckpointContents:
         assert set(opt.m) == set(params)
         for name in result.params:
             np.testing.assert_array_equal(params[name], result.params[name])
+
+
+class TestCheckpointBuffers:
+    @pytest.fixture
+    def ckpt(self, toy, tmp_path):
+        vocab, dataset = toy
+        train(MODEL, config(total_steps=4), dataset, vocab, out_dir=str(tmp_path))
+        return tmp_path / "checkpoints" / "step-4.ckpt"
+
+    def test_params_and_moments_share_no_memory(self, ckpt):
+        _, params, opt = load_training_checkpoint(str(ckpt))
+        assert not np.shares_memory(opt.params, opt.moments)
+        for name, tensor in params.items():
+            assert np.shares_memory(tensor, opt.params)
+            assert not np.shares_memory(tensor, opt.m[name])
+            assert not np.shares_memory(tensor, opt.v[name])
+
+    def test_save_load_save_is_byte_identical(self, ckpt, tmp_path):
+        header, params, opt = load_training_checkpoint(str(ckpt))
+        again = tmp_path / "again.ckpt"
+        cfg = config(total_steps=4)
+        save_training_checkpoint(str(again), MODEL, cfg, header["step"], params, opt)
+        assert again.read_bytes() == ckpt.read_bytes()
+
+    def test_truncated_checkpoint_rejected(self, ckpt):
+        data = ckpt.read_bytes()
+        ckpt.write_bytes(data[:-8])
+        with pytest.raises(ValueError, match="truncated checkpoint"):
+            load_training_checkpoint(str(ckpt))
+
+    def test_checkpoint_without_optimizer_state_rejected(self, tmp_path):
+        path = tmp_path / "params-only.ckpt"
+        save_checkpoint(str(path), {"step": 0}, init_params(MODEL))
+        with pytest.raises(ValueError, match="params, opt.m and opt.v"):
+            load_training_checkpoint(str(path))
