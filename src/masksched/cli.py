@@ -189,7 +189,7 @@ def cmd_eval(args) -> int:
     lines = data.load_corpus(args.corpus)
     dataset = data.encode_corpus(vocab, lines, model_cfg.max_seq_len)
     cfg = EvalConfig(masking_rate=args.rate, seed=args.seed, n_batches=args.batches)
-    batch_size = args.batch_size or header["train"]["batch_size"]
+    batch_size = header["train"]["batch_size"] if args.batch_size is None else args.batch_size
     loss = evaluate.eval_mlm(params, model_cfg, dataset, cfg, batch_size)
     print(
         json.dumps(

@@ -75,6 +75,8 @@ def eval_mlm(
     masks.
     """
     cfg.validate()
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     if not dataset:
         raise ValueError("empty evaluation set")
     digest = hashlib.sha256()

@@ -13,22 +13,14 @@ logits tensor is built. Per-layer activations are kept only for
 ``backward``; a forward-only call keeps just the final hidden state.
 
 Parameters live in a plain dict keyed by name; ``param_shapes`` defines the
-canonical ordering used everywhere. ``init_params``, the gradients of
-``backward`` and ``load_checkpoint`` give dicts whose tensors view one flat
-float64 buffer in that order (``tensor_arena``), so the optimizer can run
-over the whole buffer at once. The same order is the checkpoint format:
-
-    checkpoint := header-line + tensors
-    header-line: one JSON object (compact, sorted keys) terminated by \\n,
-        with at least {"format", "step", "config", "rng", "tensors"} where
-        "tensors" lists [name, shape] pairs in write order.
-    tensors: each tensor as little-endian float64, C-order, concatenated
-        in header order.
+canonical ordering used everywhere. ``init_params`` and the gradients of
+``backward`` give dicts whose tensors view one flat float64 buffer in that
+order (``tensor_arena``), so the optimizer can run over the whole buffer at
+once; ``arena_buffer`` recovers the buffer from such a dict.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -36,9 +28,7 @@ from typing import Iterable
 import numpy as np
 from scipy.special import erf
 
-from .data import CLS_ID, N_SPECIALS, SEP_ID, atomic_write
-
-CHECKPOINT_FORMAT = "masksched-ckpt-v1"
+from .data import CLS_ID, N_SPECIALS, SEP_ID
 
 LN_EPS = 1e-12
 INIT_STD = 0.02
@@ -116,12 +106,13 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _is_ln_scale(name: str) -> bool:
-    return name.endswith(".scale")
+def is_layer_norm(name: str) -> bool:
+    """Whether ``name`` is a layer-norm scale or shift; those start at 1 and
+    0 and take no weight decay."""
+    return name.endswith((".scale", ".shift"))
 
 
-def _is_zero_init(name: str) -> bool:
-    return name.endswith((".shift", ".bq", ".bk", ".bv", ".bo", ".b1", ".b2", ".b"))
+_BIASES = (".bq", ".bk", ".bv", ".bo", ".b1", ".b2", ".b")
 
 
 def tensor_arena(
@@ -168,15 +159,6 @@ def arena_buffer(tensors: Params) -> np.ndarray | None:
     return buffer
 
 
-def ravel_params(tensors: Params) -> np.ndarray:
-    """All tensors as one flat float64 vector in dict order, like ``np.ravel``:
-    the arena buffer itself when ``tensors`` is one, else a packed copy."""
-    buffer = arena_buffer(tensors)
-    if buffer is not None:
-        return buffer
-    return np.concatenate([np.ravel(t) for t in tensors.values()]).astype(np.float64, copy=False)
-
-
 def init_params(config: ModelConfig) -> Params:
     """Normal(0, 0.02^2) weights; layer-norm scale 1, shifts and biases 0.
 
@@ -186,9 +168,9 @@ def init_params(config: ModelConfig) -> Params:
     rng = np.random.default_rng(config.init_seed)
     _, (params,) = tensor_arena(param_shapes(config))
     for name, tensor in params.items():
-        if _is_ln_scale(name):
-            tensor.fill(1.0)
-        elif not _is_zero_init(name):
+        if is_layer_norm(name):
+            tensor.fill(1.0 if name.endswith(".scale") else 0.0)
+        elif not name.endswith(_BIASES):
             tensor[...] = rng.normal(0.0, INIT_STD, size=tensor.shape)
     return params
 
@@ -602,44 +584,3 @@ def grad_check(
     report.n_coords = sampled
     report.passed = report.worst_rel_err < tol
     return report
-
-
-def save_checkpoint(path: str, header: dict, tensors: dict[str, np.ndarray]) -> None:
-    """Write header JSON + little-endian float64 tensors in a fixed order."""
-    header = dict(header)
-    header["format"] = CHECKPOINT_FORMAT
-    header["tensors"] = [[name, list(t.shape)] for name, t in tensors.items()]
-    line = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
-    with atomic_write(path) as fh:
-        fh.write(line.encode("utf-8"))
-        for tensor in tensors.values():
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
-
-
-def read_checkpoint_header(fh, path: str) -> dict:
-    """Read and check the header line of a checkpoint opened at ``fh``."""
-    header = json.loads(fh.readline().decode("utf-8"))
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint: {path}")
-    return header
-
-
-def read_checkpoint_payload(fh, path: str, buffers: Iterable[np.ndarray]) -> None:
-    """Read the tensor bytes after the header straight into ``buffers``, in
-    order; they must cover the payload exactly."""
-    for buffer in buffers:
-        if fh.readinto(buffer) != buffer.nbytes:
-            raise ValueError(f"truncated checkpoint: {path}")
-        if not np.little_endian:
-            buffer.byteswap(inplace=True)
-    if fh.read(1):
-        raise ValueError(f"trailing bytes after the last tensor: {path}")
-
-
-def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Header and tensors of a checkpoint; the tensors view one arena buffer."""
-    with open(path, "rb") as fh:
-        header = read_checkpoint_header(fh, path)
-        buffer, (tensors,) = tensor_arena({name: tuple(shape) for name, shape in header["tensors"]})
-        read_checkpoint_payload(fh, path, [buffer])
-    return header, tensors

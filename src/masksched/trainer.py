@@ -8,7 +8,18 @@ is stored in the checkpoint alongside the parameters.
 Parameters, gradients and the AdamW moments are flat float64 buffers with
 per-tensor views (``model.tensor_arena``); ``OptState`` keeps the parameter
 buffer and a separate [m | v] buffer, and ``adamw_step`` updates them block
-by block. A training checkpoint stores params, m and v in that buffer order.
+by block; dicts that are not such views are rejected.
+
+This module owns the checkpoint format, which is those two buffers behind
+one header line:
+
+    checkpoint := header-line + params + moments
+    header-line: one JSON object (compact, sorted keys) terminated by \\n,
+        with {"format", "step", "model", "train", "rng", "tensors"}, where
+        "tensors" lists the [name, shape] pairs of the parameters, then of
+        "opt.m." + name, then of "opt.v." + name, each in param_shapes order.
+    params, moments: ``OptState.params``, then ``OptState.moments``, as
+        little-endian float64; that is every tensor in "tensors" order.
 
 Run directory layout: config.json, vocab.txt, metrics.jsonl,
 checkpoints/step-N.ckpt. Metrics records are JSON lines with keys
@@ -43,6 +54,8 @@ from .schedule import ScheduleSpec, masking_rate, schedule_name, validate
 # per-step loss-subset draw.
 _CORRUPT_DOMAIN = 202
 _SUBSET_DOMAIN = 204
+
+CHECKPOINT_FORMAT = "masksched-ckpt-v1"
 
 
 class TrainingDiverged(RuntimeError):
@@ -87,6 +100,10 @@ class TrainConfig:
             raise ValueError("final_lr must not exceed peak_lr")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.grad_clip is not None and not (self.grad_clip > 0):
+            raise ValueError("grad_clip must be > 0")
+        if self.eval_every < 0 or self.checkpoint_every < 0:
+            raise ValueError("eval_every and checkpoint_every must be >= 0")
         if self.total_steps > 0:  # zero-step runs never evaluate the schedule
             problems = validate(self.schedule)
             if problems:
@@ -116,17 +133,14 @@ class OptState:
 
     def __init__(self, params: Params, step: int = 0):
         buffer = model.arena_buffer(params)
-        if buffer is None:  # a hand-built dict: repack it into one buffer
-            buffer, (views,) = model.tensor_arena({k: t.shape for k, t in params.items()})
-            for name, view in views.items():
-                view[...] = params[name]
-            params.update(views)
+        if buffer is None:
+            raise ValueError("params are not views of one model.tensor_arena buffer")
         shapes = {name: tensor.shape for name, tensor in params.items()}
         self.params = buffer
         self.moments, (self.m, self.v) = model.tensor_arena(shapes, copies=2)
         self.step = step
         self._decay = np.concatenate(
-            [np.full(tensor.size, _decays(name)) for name, tensor in params.items()]
+            [np.full(tensor.size, not model.is_layer_norm(name)) for name, tensor in params.items()]
         )
         self._scratch = np.empty((2, min(_ADAMW_BLOCK, buffer.size)))
         self._finite = np.empty(self._scratch.shape[1], dtype=bool)
@@ -183,14 +197,8 @@ def lr_at(config: TrainConfig, t: float) -> float:
 
 
 def init_opt_state(params: Params) -> OptState:
-    """Zeroed AdamW state for ``params``; a dict that is not a
-    ``model.tensor_arena`` has its entries replaced by views of a new one."""
+    """Zeroed AdamW state for ``params``, a ``model.tensor_arena`` dict."""
     return OptState(params)
-
-
-def _decays(name: str) -> bool:
-    # weight decay applies everywhere except layer-norm scale/shift
-    return not name.endswith((".scale", ".shift"))
 
 
 def adamw_step(
@@ -207,17 +215,23 @@ def adamw_step(
     state's scratch, so no temporary grows with the model. Per element it
     runs the same float operations in the same order as a per-tensor
     update, so the result is the same to the bit; entries that are not
-    decayed skip the decay add through ``where=``.
+    decayed skip the decay add through ``where=``. ``grads`` must be a
+    ``model.tensor_arena`` dict with the params' names and shapes in the
+    params' order, as ``model.backward`` returns.
     """
     if model.arena_buffer(params) is not opt.params:
         raise ValueError("params do not view the optimizer's parameter buffer")
+    g = model.arena_buffer(grads)
+    if g is None or [(k, t.shape) for k, t in grads.items()] != [
+        (k, t.shape) for k, t in params.items()
+    ]:
+        raise ValueError("grads are not a tensor arena laid out like the params")
     opt.step += 1
     t = opt.step
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     theta = opt.params
-    g = model.ravel_params({name: grads[name] for name in params})
     n = theta.size
     m, v = opt.moments[:n], opt.moments[n:]
     for lo in range(0, n, _ADAMW_BLOCK):
@@ -317,13 +331,13 @@ def _config_header(model_config: ModelConfig, train_config: TrainConfig) -> dict
     }
 
 
-def _checkpoint_tensors(params: Params, opt: OptState) -> dict[str, np.ndarray]:
-    tensors = dict(params)
-    for name, t in opt.m.items():
-        tensors["opt.m." + name] = t
-    for name, t in opt.v.items():
-        tensors["opt.v." + name] = t
-    return tensors
+def _manifest(shapes: dict[str, tuple[int, ...]]) -> list:
+    """The checkpoint's "tensors" list for parameters of these shapes."""
+    return [
+        [prefix + name, list(shape)]
+        for prefix in ("", "opt.m.", "opt.v.")
+        for name, shape in shapes.items()
+    ]
 
 
 def save_training_checkpoint(
@@ -334,9 +348,21 @@ def save_training_checkpoint(
     params: Params,
     opt: OptState,
 ) -> None:
+    """Write ``opt``'s buffers, which ``params`` must view, atomically.
+
+    Each buffer goes out in one write, with no copy on a little-endian host.
+    """
+    if model.arena_buffer(params) is not opt.params:
+        raise ValueError("params do not view the optimizer's parameter buffer")
     header = _config_header(model_config, train_config)
+    header["format"] = CHECKPOINT_FORMAT
     header["step"] = step
-    model.save_checkpoint(path, header, _checkpoint_tensors(params, opt))
+    header["tensors"] = _manifest({name: tensor.shape for name, tensor in params.items()})
+    line = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+    with atomic_write(path) as fh:
+        fh.write(line.encode("utf-8"))
+        for buffer in (opt.params, opt.moments):
+            fh.write(buffer.astype("<f8", copy=False))
 
 
 def load_training_checkpoint(path: str) -> tuple[dict, Params, OptState]:
@@ -346,20 +372,23 @@ def load_training_checkpoint(path: str) -> tuple[dict, Params, OptState]:
     the returned params view, and then into its moment buffer.
     """
     with open(path, "rb") as fh:
-        header = model.read_checkpoint_header(fh, path)
+        header = json.loads(fh.readline().decode("utf-8"))
+        if header.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint: {path}")
         shapes = {
             name: tuple(shape) for name, shape in header["tensors"] if not name.startswith("opt.")
         }
-        expected = [
-            [prefix + name, list(shape)]
-            for prefix in ("", "opt.m.", "opt.v.")
-            for name, shape in shapes.items()
-        ]
-        if header["tensors"] != expected:
+        if header["tensors"] != _manifest(shapes):
             raise ValueError(f"tensors are not params, opt.m and opt.v in order: {path}")
         _, (params,) = model.tensor_arena(shapes)
         opt = OptState(params, step=header["step"])
-        model.read_checkpoint_payload(fh, path, (opt.params, opt.moments))
+        for buffer in (opt.params, opt.moments):
+            if fh.readinto(buffer) != buffer.nbytes:
+                raise ValueError(f"truncated checkpoint: {path}")
+            if not np.little_endian:
+                buffer.byteswap(inplace=True)
+        if fh.read(1):
+            raise ValueError(f"trailing bytes after the last tensor: {path}")
     return header, params, opt
 
 

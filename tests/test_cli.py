@@ -73,6 +73,14 @@ class TestTrainCommand:
         assert main(["train", cfg]) == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value", [("grad_clip", -1.0), ("eval_every", -4), ("checkpoint_every", -4)]
+    )
+    def test_out_of_range_train_value_exits_2(self, corpus_path, tmp_path, capsys, key, value):
+        doc = run_config(corpus_path, str(tmp_path / "run"), **{key: value})
+        assert main(["train", write_config(tmp_path, doc)]) == 2
+        assert key in capsys.readouterr().err
+
     def test_existing_dir_refused_without_force(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "run"
         cfg = write_config(tmp_path, run_config(corpus_path, str(out)))
@@ -127,6 +135,14 @@ class TestEvalCommand:
         report = json.loads(capsys.readouterr().out)
         assert set(report["super_tasks"]) == {"a", "b"}
         assert report["n_pairs"] == 2
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_bad_batch_size_exits_2(self, trained, corpus_path, capsys, size):
+        code = main(
+            ["eval", "--checkpoint", trained, "--corpus", corpus_path, "--batch-size", size]
+        )
+        assert code == 2
+        assert "batch_size must be >= 1" in capsys.readouterr().err
 
     def test_bad_rate_exits_2(self, trained, corpus_path, capsys):
         code = main(

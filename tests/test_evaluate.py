@@ -90,6 +90,11 @@ class TestEvalMlm:
         with pytest.raises(ValueError, match="empty"):
             eval_mlm(uniform_params(CFG), CFG, [], EvalConfig())
 
+    def test_zero_batch_size_rejected(self, toy):
+        _, dataset = toy
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            eval_mlm(uniform_params(CFG), CFG, dataset, EvalConfig(), batch_size=0)
+
     def test_bad_rate_rejected(self, toy):
         _, dataset = toy
         with pytest.raises(ValueError, match="out of"):

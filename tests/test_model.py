@@ -11,12 +11,10 @@ from masksched.model import (
     forward,
     grad_check,
     init_params,
-    load_checkpoint,
     log_softmax,
     mlm_loss,
     param_shapes,
     rts_loss,
-    save_checkpoint,
 )
 
 from oracles import ref_forward_tiny, ref_mlm_loss, ref_rts_loss
@@ -73,6 +71,13 @@ class TestInit:
         assert emb.size == 100_000
         bound = 3 * 0.02 / math.sqrt(emb.size)
         assert abs(emb.mean()) < bound
+
+    def test_param_shapes_cover_params(self):
+        params = init_params(SMALL)
+        shapes = param_shapes(SMALL)
+        assert list(params) == list(shapes)
+        for name, shape in shapes.items():
+            assert params[name].shape == shape
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -262,45 +267,3 @@ class TestBackward:
         report = grad_check(TINY, seed=0, n_coords=0)
         assert report.passed
         assert any("vacuous" in w for w in report.warnings)
-
-
-class TestCheckpointIO:
-    def test_round_trip_bytes(self, tmp_path):
-        params = init_params(TINY)
-        path = tmp_path / "a.ckpt"
-        save_checkpoint(str(path), {"step": 3, "config": {"d": 1}, "rng": {"seed": 0}}, params)
-        header, tensors = load_checkpoint(str(path))
-        assert header["step"] == 3
-        for name in params:
-            np.testing.assert_array_equal(params[name], tensors[name])
-        path2 = tmp_path / "b.ckpt"
-        save_checkpoint(str(path2), {"step": 3, "config": {"d": 1}, "rng": {"seed": 0}}, tensors)
-        assert path.read_bytes() == path2.read_bytes()
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        path = tmp_path / "a.ckpt"
-        save_checkpoint(str(path), {"step": 3, "config": {"d": 1}, "rng": {"seed": 0}}, init_params(TINY))
-        with open(path, "ab") as fh:
-            fh.write(b"\x00")
-        with pytest.raises(ValueError, match="trailing bytes"):
-            load_checkpoint(str(path))
-
-    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
-        path = tmp_path / "a.ckpt"
-        header = {"step": 3, "config": {"d": 1}, "rng": {"seed": 0}}
-        save_checkpoint(str(path), header, init_params(TINY))
-        before = path.read_bytes()
-        # the second tensor cannot be written as float64, so the save fails
-        # after the header and the first tensor are out
-        bad = {"w": np.ones(4), "x": np.array(["not a number"])}
-        with pytest.raises(ValueError):
-            save_checkpoint(str(path), header, bad)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
-
-    def test_param_shapes_cover_params(self):
-        params = init_params(SMALL)
-        shapes = param_shapes(SMALL)
-        assert list(params) == list(shapes)
-        for name, shape in shapes.items():
-            assert params[name].shape == shape

@@ -9,15 +9,11 @@ from masksched import trainer
 from masksched.corruption import CorruptionConfig, round_half_up
 from masksched.data import build_vocab, encode_corpus, synthetic_zipf_corpus
 from masksched.evaluate import EvalConfig
-from masksched.model import (
-    ModelConfig,
-    init_params,
-    ravel_params,
-    save_checkpoint,
-    tensor_arena,
-)
+from masksched.model import ModelConfig, init_params, tensor_arena
 from masksched.schedule import parse_schedule
 from masksched.trainer import (
+    CHECKPOINT_FORMAT,
+    OptState,
     TrainConfig,
     TrainingDiverged,
     adamw_step,
@@ -34,6 +30,7 @@ from oracles import ref_adamw_step
 MODEL = ModelConfig(
     n_layers=1, n_heads=2, d_model=16, d_ff=32, vocab_size=40, max_seq_len=12, init_seed=1
 )
+MEDIUM = ModelConfig(n_layers=4, n_heads=4, d_model=128, d_ff=512, vocab_size=2000, max_seq_len=64)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +51,30 @@ def config(total_steps=30, schedule="constant-0.15", **kw):
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+def arena(**tensors):
+    """The given arrays copied into one ``tensor_arena``, in keyword order."""
+    _, (views,) = tensor_arena({name: np.shape(t) for name, t in tensors.items()})
+    for name, view in views.items():
+        view[...] = tensors[name]
+    return views
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grad_clip", -1.0),
+            ("grad_clip", 0.0),
+            ("grad_clip", math.nan),
+            ("eval_every", -1),
+            ("checkpoint_every", -1),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            config(**{field: value}).validate()
 
 
 class TestLrSchedule:
@@ -80,16 +101,16 @@ class TestLrSchedule:
 class TestAdamW:
     def test_zero_gradient_no_decay_is_identity(self):
         cfg = config(weight_decay=0.0)
-        params = {"w": np.array([1.0, -2.0, 3.0])}
+        params = arena(w=[1.0, -2.0, 3.0])
         opt = init_opt_state(params)
-        adamw_step(params, {"w": np.zeros(3)}, opt, lr=0.1, config=cfg)
+        adamw_step(params, arena(w=np.zeros(3)), opt, lr=0.1, config=cfg)
         np.testing.assert_array_equal(params["w"], [1.0, -2.0, 3.0])
 
     def test_single_step_matches_hand_execution(self):
         cfg = config()
-        params = {"w": np.array([1.0])}
+        params = arena(w=[1.0])
         opt = init_opt_state(params)
-        adamw_step(params, {"w": np.array([1.0])}, opt, lr=0.1, config=cfg)
+        adamw_step(params, arena(w=[1.0]), opt, lr=0.1, config=cfg)
         # independent hand-executed update: m-hat = v-hat = 1 at step 1
         m_hat = 1.0
         v_hat = 1.0
@@ -98,29 +119,29 @@ class TestAdamW:
 
     def test_pure_decay_is_geometric(self):
         cfg = config(weight_decay=0.01)
-        params = {"w": np.array([2.0, -4.0])}
+        params = arena(w=[2.0, -4.0])
         opt = init_opt_state(params)
         lr = 0.5
         for step in range(3):
-            adamw_step(params, {"w": np.zeros(2)}, opt, lr, cfg)
+            adamw_step(params, arena(w=np.zeros(2)), opt, lr, cfg)
         np.testing.assert_allclose(
             params["w"], np.array([2.0, -4.0]) * (1 - lr * 0.01) ** 3, rtol=1e-12
         )
 
     def test_layernorm_parameters_skip_decay(self):
         cfg = config(weight_decay=0.5)
-        params = {"ln1.scale": np.array([1.0]), "ln1.shift": np.array([0.5])}
+        params = arena(**{"ln1.scale": [1.0], "ln1.shift": [0.5]})
         opt = init_opt_state(params)
-        adamw_step(params, {k: np.zeros(1) for k in params}, opt, 0.1, cfg)
+        adamw_step(params, arena(**{k: np.zeros(1) for k in params}), opt, 0.1, cfg)
         assert params["ln1.scale"][0] == 1.0
         assert params["ln1.shift"][0] == 0.5
 
     def test_nonfinite_gradient_diverges(self):
         cfg = config()
-        params = {"w": np.array([1.0])}
+        params = arena(w=[1.0])
         opt = init_opt_state(params)
         with pytest.raises(TrainingDiverged):
-            adamw_step(params, {"w": np.array([math.nan])}, opt, 0.1, cfg)
+            adamw_step(params, arena(w=[math.nan]), opt, 0.1, cfg)
 
 
 class TestAdamWOracle:
@@ -129,13 +150,10 @@ class TestAdamWOracle:
     )
 
     @staticmethod
-    def random_grads(params, rng, arena=False):
+    def random_grads(params, rng):
         """Normal draws with exact 0.0 and -0.0 entries mixed in, as one
-        ``tensor_arena`` (what ``model.backward`` returns) or separate arrays."""
-        if arena:
-            _, (grads,) = tensor_arena({name: t.shape for name, t in params.items()})
-        else:
-            grads = {name: np.empty(t.shape) for name, t in params.items()}
+        ``tensor_arena`` (what ``model.backward`` returns)."""
+        _, (grads,) = tensor_arena({name: t.shape for name, t in params.items()})
         for g in grads.values():
             g[...] = rng.normal(0.0, 1.0, size=g.shape)
             pick = rng.random(g.shape)
@@ -144,9 +162,8 @@ class TestAdamWOracle:
         return grads
 
     # 97 cuts blocks across tensors and decay-mask boundaries
-    @pytest.mark.parametrize("arena", [True, False])
     @pytest.mark.parametrize("block", [None, 97])
-    def test_five_steps_match_per_tensor_reference_bitwise(self, block, arena, monkeypatch):
+    def test_five_steps_match_per_tensor_reference_bitwise(self, block, monkeypatch):
         if block is not None:
             monkeypatch.setattr(trainer, "_ADAMW_BLOCK", block)
         cfg = config(weight_decay=0.01)
@@ -157,7 +174,7 @@ class TestAdamWOracle:
         ref_v = {name: np.zeros_like(t) for name, t in params.items()}
         rng = np.random.default_rng(3)
         for step in range(1, 6):
-            grads = self.random_grads(params, rng, arena)
+            grads = self.random_grads(params, rng)
             lr = 0.01 * step
             adamw_step(params, grads, opt, lr, cfg)
             ref_adamw_step(ref, grads, ref_m, ref_v, step, lr, cfg)
@@ -189,14 +206,31 @@ class TestAdamWOracle:
         with pytest.raises(ValueError, match="parameter buffer"):
             adamw_step(copied, copied, opt, 0.01, config())
 
-    def test_step_allocates_no_whole_buffer_temporary(self):
-        medium = ModelConfig(
-            n_layers=4, n_heads=4, d_model=128, d_ff=512, vocab_size=2000, max_seq_len=64
-        )
-        params = init_params(medium)
+    def test_state_of_non_arena_params_rejected(self):
+        params = {name: t.copy() for name, t in init_params(self.SMALL).items()}
+        with pytest.raises(ValueError, match="tensor_arena"):
+            OptState(params)
+
+    @pytest.mark.parametrize("layout", ["separate", "reordered"])
+    def test_non_arena_grads_rejected(self, layout):
+        params = init_params(self.SMALL)
         opt = init_opt_state(params)
-        _, (grads,) = tensor_arena({name: t.shape for name, t in params.items()})
-        ravel_params(grads)[:] = np.random.default_rng(0).normal(size=opt.params.size)
+        before = opt.params.copy()
+        grads = self.random_grads(params, np.random.default_rng(5))
+        if layout == "separate":
+            grads = {name: g.copy() for name, g in grads.items()}
+        else:
+            grads = arena(**dict(reversed(grads.items())))
+        with pytest.raises(ValueError, match="grads are not a tensor arena"):
+            adamw_step(params, grads, opt, 0.01, config())
+        assert opt.step == 0
+        np.testing.assert_array_equal(opt.params, before)
+
+    def test_step_allocates_no_whole_buffer_temporary(self):
+        params = init_params(MEDIUM)
+        opt = init_opt_state(params)
+        buffer, (grads,) = tensor_arena({name: t.shape for name, t in params.items()})
+        buffer[:] = np.random.default_rng(0).normal(size=opt.params.size)
         cfg = config(weight_decay=0.01)
         adamw_step(params, grads, opt, 0.01, cfg)
         tracemalloc.start()
@@ -411,7 +445,86 @@ class TestCheckpointBuffers:
             load_training_checkpoint(str(ckpt))
 
     def test_checkpoint_without_optimizer_state_rejected(self, tmp_path):
+        params = init_params(MODEL)
+        manifest = [[name, list(t.shape)] for name, t in params.items()]
+        header = {"format": CHECKPOINT_FORMAT, "step": 0, "tensors": manifest}
         path = tmp_path / "params-only.ckpt"
-        save_checkpoint(str(path), {"step": 0}, init_params(MODEL))
+        with open(path, "wb") as fh:
+            fh.write((json.dumps(header) + "\n").encode("utf-8"))
+            for tensor in params.values():
+                fh.write(tensor.astype("<f8").tobytes())
         with pytest.raises(ValueError, match="params, opt.m and opt.v"):
             load_training_checkpoint(str(path))
+
+
+class TestCheckpointIO:
+    CFG = config(total_steps=4)
+
+    def save(self, path, params, opt, step=3, model_config=MODEL):
+        save_training_checkpoint(str(path), model_config, self.CFG, step, params, opt)
+
+    def test_round_trip_bytes(self, tmp_path):
+        params = init_params(MODEL)
+        opt = init_opt_state(params)
+        opt.moments[:] = np.random.default_rng(0).normal(size=opt.moments.size)
+        path = tmp_path / "a.ckpt"
+        self.save(path, params, opt)
+        header, tensors, loaded = load_training_checkpoint(str(path))
+        assert header["step"] == 3
+        for name in params:
+            np.testing.assert_array_equal(params[name], tensors[name])
+        np.testing.assert_array_equal(loaded.moments, opt.moments)
+        path2 = tmp_path / "b.ckpt"
+        self.save(path2, tensors, loaded)
+        assert path.read_bytes() == path2.read_bytes()
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        params = init_params(MODEL)
+        path = tmp_path / "a.ckpt"
+        self.save(path, params, init_opt_state(params))
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_training_checkpoint(str(path))
+
+    def test_other_format_rejected(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        path.write_bytes(b'{"format":"masksched-ckpt-v0","step":0,"tensors":[]}\n')
+        with pytest.raises(ValueError, match="not a masksched-ckpt-v1 checkpoint"):
+            load_training_checkpoint(str(path))
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        params = init_params(MODEL)
+        opt = init_opt_state(params)
+        path = tmp_path / "a.ckpt"
+        self.save(path, params, opt)
+        before = path.read_bytes()
+        # the moment buffer cannot be written as float64, so the save fails
+        # after the header and the parameter buffer are out
+        opt.moments = np.array(["not a number"])
+        with pytest.raises(ValueError):
+            self.save(path, params, opt)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
+
+    def test_params_not_viewing_the_state_are_rejected(self, tmp_path):
+        params = init_params(MODEL)
+        opt = init_opt_state(params)
+        copied = {name: t.copy() for name, t in params.items()}
+        with pytest.raises(ValueError, match="parameter buffer"):
+            self.save(tmp_path / "a.ckpt", copied, opt)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_copies_no_buffer(self, tmp_path):
+        params = init_params(MEDIUM)
+        opt = init_opt_state(params)
+        path = tmp_path / "medium.ckpt"
+        self.save(path, params, opt, model_config=MEDIUM)
+        tracemalloc.start()
+        try:
+            self.save(path, params, opt, model_config=MEDIUM)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a copy of the largest tensor alone (tok_emb, mlm_head.w) is ~2 MB
+        assert peak < opt.params.nbytes / 20, peak
