@@ -150,10 +150,13 @@ class TestAdamWOracle:
     )
 
     @staticmethod
-    def random_grads(params, rng):
+    def random_grads(params, rng, in_arena=True):
         """Normal draws with exact 0.0 and -0.0 entries mixed in, as one
-        ``tensor_arena`` (what ``model.backward`` returns)."""
-        _, (grads,) = tensor_arena({name: t.shape for name, t in params.items()})
+        ``tensor_arena`` (what ``model.backward`` returns) or separate arrays."""
+        if in_arena:
+            _, (grads,) = tensor_arena({name: t.shape for name, t in params.items()})
+        else:
+            grads = {name: np.empty(t.shape) for name, t in params.items()}
         for g in grads.values():
             g[...] = rng.normal(0.0, 1.0, size=g.shape)
             pick = rng.random(g.shape)
@@ -161,9 +164,12 @@ class TestAdamWOracle:
             g[pick > 0.9] = -0.0
         return grads
 
-    # 97 cuts blocks across tensors and decay-mask boundaries
+    # 97 cuts blocks across tensors and decay-mask boundaries; in_arena=False
+    # draws separate arrays and copies them into an arena, as a caller that
+    # does not hold ``model.backward`` output must before ``adamw_step``
+    @pytest.mark.parametrize("in_arena", [True, False])
     @pytest.mark.parametrize("block", [None, 97])
-    def test_five_steps_match_per_tensor_reference_bitwise(self, block, monkeypatch):
+    def test_five_steps_match_per_tensor_reference_bitwise(self, block, in_arena, monkeypatch):
         if block is not None:
             monkeypatch.setattr(trainer, "_ADAMW_BLOCK", block)
         cfg = config(weight_decay=0.01)
@@ -174,7 +180,9 @@ class TestAdamWOracle:
         ref_v = {name: np.zeros_like(t) for name, t in params.items()}
         rng = np.random.default_rng(3)
         for step in range(1, 6):
-            grads = self.random_grads(params, rng)
+            grads = self.random_grads(params, rng, in_arena)
+            if not in_arena:
+                grads = arena(**grads)
             lr = 0.01 * step
             adamw_step(params, grads, opt, lr, cfg)
             ref_adamw_step(ref, grads, ref_m, ref_v, step, lr, cfg)
