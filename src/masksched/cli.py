@@ -1,10 +1,10 @@
 """Command-line entry point: train, eval, compare, speedup, gradcheck, vocab.
 
-Run configs are single JSON documents (unknown keys rejected, every nested
-invariant validated before any work starts), reports are JSON on stdout,
-series are CSV, minimal pairs are TSV. Every subcommand is deterministic
-given its inputs and seeds; wall-clock timing is opt-in (--timings) and
-never enters a computed result.
+Run configs are single JSON documents (unknown keys and wrong-typed values
+rejected, every config checked when built, before any work starts), reports
+are JSON on stdout, series are CSV, minimal pairs are TSV. Every subcommand
+is deterministic given its inputs and seeds; wall-clock timing is opt-in
+(--timings) and never enters a computed result.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage or validation error.
 """
@@ -64,19 +64,43 @@ _MODEL_KEYS = _field_names(ModelConfig) - {"vocab_size"}
 _TRAIN_KEYS = _field_names(TrainConfig) - {"corruption", "eval"} | _CORRUPTION_KEYS
 _EVAL_KEYS = _field_names(EvalConfig)
 
+# The JSON types a run-config value may take, by its field's annotation; a
+# schedule is given by its canonical name, and a bool is never accepted.
+_JSON_TYPES = {
+    "int": (int,),
+    "float": (int, float),
+    "str": (str,),
+    "dict": (dict,),
+    "ScheduleSpec": (str,),
+}
+
+
+def _check_types(section: dict, where: str, *classes) -> None:
+    types = {f.name: f.type for cls in classes for f in dataclasses.fields(cls)}
+    for key, value in section.items():
+        kind, _, optional = types[key].partition(" | ")
+        if value is None and optional == "None":
+            continue
+        accepted = _JSON_TYPES[kind]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            names = [t.__name__ for t in accepted] + ["null"] * (optional == "None")
+            raise ConfigError(f"{where}: {key} must be {' or '.join(names)}, got {value!r}")
+
 
 def parse_run_config(doc: dict) -> RunConfig:
-    _require_keys(
-        doc,
-        {"corpus", "vocab_size", "model", "train", "eval", "out_dir"},
-        {"corpus", "vocab_size", "model", "train", "out_dir"},
-        "run config",
-    )
+    if not isinstance(doc, dict):
+        raise ConfigError(f"run config must be a JSON object, got {doc!r}")
+    run_keys = _field_names(RunConfig)
+    _require_keys(doc, run_keys, run_keys - {"eval"}, "run config")
+    _check_types(doc, "run config", RunConfig)
     _require_keys(doc["model"], _MODEL_KEYS, {"n_layers", "n_heads", "d_model", "d_ff", "max_seq_len"}, "model section")
     _require_keys(doc["train"], _TRAIN_KEYS, {"total_steps", "batch_size", "schedule"}, "train section")
     eval_section = doc.get("eval", {})
     _require_keys(eval_section, _EVAL_KEYS, set(), "eval section")
-    if not isinstance(doc["vocab_size"], int) or doc["vocab_size"] < 6:
+    _check_types(doc["model"], "model section", ModelConfig)
+    _check_types(doc["train"], "train section", TrainConfig, CorruptionConfig)
+    _check_types(eval_section, "eval section", EvalConfig)
+    if doc["vocab_size"] < 6:
         raise ConfigError("vocab_size must be an integer >= 6")
     return RunConfig(
         corpus=doc["corpus"],
@@ -90,24 +114,20 @@ def parse_run_config(doc: dict) -> RunConfig:
 
 def build_configs(run: RunConfig, vocab_size: int) -> tuple[ModelConfig, TrainConfig]:
     model_cfg = ModelConfig(vocab_size=vocab_size, **run.model)
-    model_cfg.validate()
     t = dict(run.train)
     total_steps = t.pop("total_steps")
     try:
         schedule = parse_schedule(t.pop("schedule"), max(total_steps, 1))
     except ScheduleError as exc:
         raise ConfigError(f"train.schedule: {exc}") from None
-    corruption = CorruptionConfig(**{k: t.pop(k) for k in _CORRUPTION_KEYS if k in t})
-    eval_cfg = EvalConfig(**run.eval)
-    train_cfg = TrainConfig(
-        total_steps=total_steps,
-        schedule=schedule,
-        corruption=corruption,
-        eval=eval_cfg,
-        **t,
-    )
     try:
-        train_cfg.validate()
+        train_cfg = TrainConfig(
+            total_steps=total_steps,
+            schedule=schedule,
+            corruption=CorruptionConfig(**{k: t.pop(k) for k in _CORRUPTION_KEYS if k in t}),
+            eval=EvalConfig(**run.eval),
+            **t,
+        )
     except ValueError as exc:
         raise ConfigError(f"train section: {exc}") from None
     return model_cfg, train_cfg
@@ -184,11 +204,9 @@ def cmd_eval(args) -> int:
         report["n_pairs"] = len(pairs)
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
-    if not (0.0 <= args.rate <= 1.0):
-        raise ConfigError(f"--rate out of [0,1]: {args.rate}")
+    cfg = EvalConfig(masking_rate=args.rate, seed=args.seed, n_batches=args.batches)
     lines = data.load_corpus(args.corpus)
     dataset = data.encode_corpus(vocab, lines, model_cfg.max_seq_len)
-    cfg = EvalConfig(masking_rate=args.rate, seed=args.seed, n_batches=args.batches)
     batch_size = header["train"]["batch_size"] if args.batch_size is None else args.batch_size
     loss = evaluate.eval_mlm(params, model_cfg, dataset, cfg, batch_size)
     print(
@@ -279,7 +297,6 @@ def cmd_gradcheck(args) -> int:
         max_seq_len=args.seq_len,
         init_seed=args.seed,
     )
-    config.validate()
     report = model.grad_check(config, seed=args.seed, n_coords=args.coords, h=args.h, tol=args.tol)
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     return 0 if report.passed else 1
@@ -357,9 +374,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ScheduleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (json.JSONDecodeError, FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

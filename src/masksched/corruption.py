@@ -24,6 +24,7 @@ class CorruptionConfig:
     maskable tokens (the trainer draws that subset for the whole batch).
     ``min_masked = 1`` force-includes one maskable index when the Bernoulli
     draw comes up empty, so the per-example loss is always defined.
+    An invalid config raises ``ValueError`` when it is built.
     """
 
     objective: str = "mlm"
@@ -33,7 +34,7 @@ class CorruptionConfig:
     subset_loss_fraction: float | None = None
     min_masked: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.objective not in ("mlm", "rts"):
             raise ValueError(f"unknown objective {self.objective!r}")
         total = math.fsum(
@@ -186,12 +187,6 @@ def corrupt_sequence(
     Returns None when the sequence has no maskable positions (such rows
     contribute context but no loss terms).
     """
-    config.validate()
-    return _corrupt_row(ids, rate, vocab_size, rng, config)
-
-
-def _corrupt_row(ids, rate, vocab_size, rng, config) -> MaskOutcome | None:
-    """``corrupt_sequence`` for a config the caller has validated."""
     ids = np.asarray(ids, dtype=np.int64)
     maskable = maskable_indices(ids)
     if maskable.size == 0:
@@ -214,12 +209,10 @@ def corrupt_batch(
     """Corrupt row i with ``rngs[i]`` and right-pad the result.
 
     Returns the per-row outcomes and the padded (ids, real_mask); rows with
-    nothing to mask enter the batch unchanged. The config is validated once
-    for the batch.
+    nothing to mask enter the batch unchanged.
     """
-    config.validate()
     outcomes = [
-        _corrupt_row(seq, rate, vocab_size, rng, config)
+        corrupt_sequence(seq, rate, vocab_size, rng, config)
         for seq, rng in zip(seqs, rngs, strict=True)
     ]
     ids, real = pad_batch([seq if o is None else o.corrupted for seq, o in zip(seqs, outcomes)])

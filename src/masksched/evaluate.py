@@ -28,11 +28,13 @@ _EVAL_DOMAIN = 303
 
 @dataclass(frozen=True)
 class EvalConfig:
+    """Fixed evaluation masking; an invalid config raises ``ValueError`` when built."""
+
     masking_rate: float = 0.15
     seed: int = 0
     n_batches: int = 8
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0.0 <= self.masking_rate <= 1.0):
             raise ValueError("eval masking_rate out of [0,1]")
         if self.n_batches < 1:
@@ -74,7 +76,6 @@ def eval_mlm(
     returned too, to let callers assert that two evaluations saw the same
     masks.
     """
-    cfg.validate()
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if not dataset:

@@ -38,6 +38,8 @@ Params = dict[str, np.ndarray]
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Encoder shape; an invalid config raises ``ValueError`` when built."""
+
     n_layers: int
     n_heads: int
     d_model: int
@@ -46,7 +48,7 @@ class ModelConfig:
     max_seq_len: int
     init_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("n_layers", "n_heads", "d_model", "d_ff", "vocab_size", "max_seq_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -164,7 +166,6 @@ def init_params(config: ModelConfig) -> Params:
 
     The tensors are views of one ``tensor_arena`` buffer.
     """
-    config.validate()
     rng = np.random.default_rng(config.init_seed)
     _, (params,) = tensor_arena(param_shapes(config))
     for name, tensor in params.items():

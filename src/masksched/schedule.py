@@ -28,6 +28,8 @@ class ScheduleSpec:
     ``decay_steps`` and ``decay_factor`` apply to the "step" kind only:
     the rate starts at ``initial_rate`` and is multiplied by
     ``decay_factor`` once for each decay step that has been reached.
+    Every invariant is checked when the spec is built; an invalid one
+    raises ``ScheduleError`` listing all of its problems.
     """
 
     kind: str
@@ -36,6 +38,36 @@ class ScheduleSpec:
     total_steps: int
     decay_steps: tuple[int, ...] = ()
     decay_factor: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in SCHEDULE_KINDS:
+            raise ScheduleError(f"unknown schedule kind {self.kind!r}")
+        problems: list[str] = []
+        if self.total_steps < 1:
+            problems.append("total_steps must be >= 1")
+        for label, rate in (("initial_rate", self.initial_rate), ("final_rate", self.final_rate)):
+            if not (0.0 <= rate <= 1.0):
+                problems.append(f"{label} out of [0,1]: {rate!r}")
+        if self.kind == "constant" and self.initial_rate != self.final_rate:
+            problems.append("constant schedule requires initial_rate == final_rate")
+        if self.kind == "step":
+            if self.initial_rate <= 0:
+                problems.append("step schedule requires initial_rate > 0")
+            if not (0.0 < self.decay_factor <= 1.0):
+                problems.append(f"decay_factor out of (0,1]: {self.decay_factor!r}")
+            if list(self.decay_steps) != sorted(set(self.decay_steps)):
+                problems.append("decay_steps must be strictly increasing")
+            if any(not (0 <= s < self.total_steps) for s in self.decay_steps):
+                problems.append("decay_steps must lie in [0, total_steps)")
+            implied = self.initial_rate * self.decay_factor ** len(self.decay_steps)
+            if not math.isclose(implied, self.final_rate, rel_tol=1e-12, abs_tol=1e-15):
+                problems.append(
+                    "final_rate inconsistent with decay_factor applied over decay_steps"
+                )
+        elif self.decay_steps or self.decay_factor != 1.0:
+            problems.append(f"decay settings only apply to the step kind, not {self.kind!r}")
+        if problems:
+            raise ScheduleError("; ".join(problems))
 
 
 def step_halfway(initial_rate: float, final_rate: float, total_steps: int) -> ScheduleSpec:
@@ -56,44 +88,6 @@ def step_halfway(initial_rate: float, final_rate: float, total_steps: int) -> Sc
     )
 
 
-def validate(spec: ScheduleSpec) -> list[str]:
-    """Check every ScheduleSpec invariant; return diagnostics (empty = ok)."""
-    problems: list[str] = []
-    if spec.kind not in SCHEDULE_KINDS:
-        problems.append(f"unknown schedule kind {spec.kind!r}")
-        return problems
-    if spec.total_steps < 1:
-        problems.append("total_steps must be >= 1")
-    for label, rate in (("initial_rate", spec.initial_rate), ("final_rate", spec.final_rate)):
-        if not (0.0 <= rate <= 1.0):
-            problems.append(f"{label} out of [0,1]: {rate!r}")
-    if spec.kind == "constant" and spec.initial_rate != spec.final_rate:
-        problems.append("constant schedule requires initial_rate == final_rate")
-    if spec.kind == "step":
-        if spec.initial_rate <= 0:
-            problems.append("step schedule requires initial_rate > 0")
-        if not (0.0 < spec.decay_factor <= 1.0):
-            problems.append(f"decay_factor out of (0,1]: {spec.decay_factor!r}")
-        if list(spec.decay_steps) != sorted(set(spec.decay_steps)):
-            problems.append("decay_steps must be strictly increasing")
-        if any(not (0 <= s < spec.total_steps) for s in spec.decay_steps):
-            problems.append("decay_steps must lie in [0, total_steps)")
-        implied = spec.initial_rate * spec.decay_factor ** len(spec.decay_steps)
-        if not math.isclose(implied, spec.final_rate, rel_tol=1e-12, abs_tol=1e-15):
-            problems.append(
-                "final_rate inconsistent with decay_factor applied over decay_steps"
-            )
-    elif spec.decay_steps or spec.decay_factor != 1.0:
-        problems.append(f"decay settings only apply to the step kind, not {spec.kind!r}")
-    return problems
-
-
-def _require_valid(spec: ScheduleSpec) -> None:
-    problems = validate(spec)
-    if problems:
-        raise ScheduleError("; ".join(problems))
-
-
 def masking_rate(spec: ScheduleSpec, t: float) -> float:
     """Masking rate at step ``t``, by closed form:
 
@@ -102,7 +96,6 @@ def masking_rate(spec: ScheduleSpec, t: float) -> float:
     cosine:   initial_rate + (final_rate - initial_rate)/2 * (1 + cos((1 - t/T) * pi))
     step:     initial_rate * decay_factor ** #{decay steps <= t}
     """
-    _require_valid(spec)
     total = spec.total_steps
     if not (0 <= t <= total):
         raise ScheduleError(f"step out of range: t={t!r} not in [0, {total}]")
@@ -126,14 +119,13 @@ def schedule_name(spec: ScheduleSpec) -> str:
     rates; only the single-halfway-decay form round-trips through
     ``parse_schedule``.
     """
-    _require_valid(spec)
     if spec.kind == "constant":
         return f"constant-{spec.initial_rate!r}"
     return f"{spec.kind}-{spec.initial_rate!r}-{spec.final_rate!r}"
 
 
 def parse_schedule(name: str, total_steps: int) -> ScheduleSpec:
-    """Parse a canonical schedule string into a validated ScheduleSpec."""
+    """Parse a canonical schedule string into a ScheduleSpec."""
     parts = name.strip().split("-")
     kind = parts[0]
     if kind not in SCHEDULE_KINDS:
@@ -145,12 +137,9 @@ def parse_schedule(name: str, total_steps: int) -> ScheduleSpec:
     if kind == "constant":
         if len(rates) != 1:
             raise ScheduleError(f"constant schedule takes one rate, got {name!r}")
-        spec = ScheduleSpec(kind, rates[0], rates[0], total_steps)
-    elif len(rates) != 2:
+        return ScheduleSpec(kind, rates[0], rates[0], total_steps)
+    if len(rates) != 2:
         raise ScheduleError(f"{kind} schedule takes two rates, got {name!r}")
-    elif kind == "step":
-        spec = step_halfway(rates[0], rates[1], total_steps)
-    else:
-        spec = ScheduleSpec(kind, rates[0], rates[1], total_steps)
-    _require_valid(spec)
-    return spec
+    if kind == "step":
+        return step_halfway(rates[0], rates[1], total_steps)
+    return ScheduleSpec(kind, rates[0], rates[1], total_steps)

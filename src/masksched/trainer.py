@@ -48,7 +48,7 @@ from .corruption import (
 from .data import Vocab, atomic_write, epoch_permutation
 from .evaluate import EvalConfig
 from .model import ModelConfig, Params
-from .schedule import ScheduleSpec, masking_rate, schedule_name, validate
+from .schedule import ScheduleSpec, masking_rate, schedule_name
 
 # Seed-derivation domains for per-(step, row) corruption generators and the
 # per-step loss-subset draw.
@@ -66,7 +66,11 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization defaults follow the BERT-style recipe this toolkit targets."""
+    """Optimization defaults follow the BERT-style recipe this toolkit targets.
+
+    An invalid config raises ``ValueError`` when built; the nested schedule,
+    corruption and eval configs check themselves.
+    """
 
     total_steps: int
     batch_size: int
@@ -89,7 +93,7 @@ class TrainConfig:
     def objective(self) -> str:
         return self.corruption.objective
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.total_steps < 0:
             raise ValueError("total_steps must be >= 0")
         if self.batch_size < 1:
@@ -104,16 +108,11 @@ class TrainConfig:
             raise ValueError("grad_clip must be > 0")
         if self.eval_every < 0 or self.checkpoint_every < 0:
             raise ValueError("eval_every and checkpoint_every must be >= 0")
-        if self.total_steps > 0:  # zero-step runs never evaluate the schedule
-            problems = validate(self.schedule)
-            if problems:
-                raise ValueError("; ".join(problems))
-            if self.schedule.total_steps != self.total_steps:
-                raise ValueError("schedule.total_steps must equal total_steps")
-        self.corruption.validate()
+        # zero-step runs never evaluate the schedule
+        if self.total_steps > 0 and self.schedule.total_steps != self.total_steps:
+            raise ValueError("schedule.total_steps must equal total_steps")
         if self.corruption.subset_loss_fraction is not None and self.objective != "mlm":
             raise ValueError("subset_loss_fraction requires the mlm objective")
-        self.eval.validate()
 
 
 # Elements per block of the AdamW walk over the flat buffers: each block's
@@ -434,8 +433,8 @@ def train(
     split and resumed; the final post-run evaluation and checkpoint happen
     only when the stop point is the configured total.
     """
-    model_config.validate()
-    train_config.validate()
+    if stop_after is not None and stop_after < 0:
+        raise ValueError("stop_after must be >= 0")
     if model_config.vocab_size != vocab.size:
         raise ValueError("model vocab_size does not match the vocabulary")
     if not dataset:

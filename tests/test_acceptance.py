@@ -9,6 +9,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -432,7 +433,7 @@ def _snapshot(root):
     for base, _, files in os.walk(root):
         for f in files:
             path = os.path.join(base, f)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            out[os.path.relpath(path, root)] = Path(path).read_bytes()
     return out
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,8 +9,20 @@ from pathlib import Path
 
 import pytest
 
-from masksched.cli import main
+from masksched.cli import (
+    _EVAL_KEYS,
+    _JSON_TYPES,
+    _MODEL_KEYS,
+    _TRAIN_KEYS,
+    RunConfig,
+    _field_names,
+    main,
+)
+from masksched.corruption import CorruptionConfig
 from masksched.data import synthetic_zipf_corpus
+from masksched.evaluate import EvalConfig
+from masksched.model import ModelConfig
+from masksched.trainer import TrainConfig
 
 from fit_series import OVERFLOW_STEPS, OVERFLOW_VALUES
 
@@ -74,12 +87,69 @@ class TestTrainCommand:
         assert "unknown keys" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "key, value", [("grad_clip", -1.0), ("eval_every", -4), ("checkpoint_every", -4)]
+        "key, value",
+        [
+            ("grad_clip", -1.0),
+            ("eval_every", -4),
+            ("checkpoint_every", -4),
+            # wrong JSON types
+            ("batch_size", "8"),
+            ("warmup_fraction", "0.1"),
+            ("total_steps", 4.0),
+            ("eval_every", 1.5),
+            ("min_masked", 0.5),
+            ("seed", True),
+            ("schedule", 0.15),
+        ],
     )
     def test_out_of_range_train_value_exits_2(self, corpus_path, tmp_path, capsys, key, value):
         doc = run_config(corpus_path, str(tmp_path / "run"), **{key: value})
         assert main(["train", write_config(tmp_path, doc)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("model", "n_layers", 2.5, "model section: n_layers must be int, got 2.5"),
+            ("eval", "n_batches", 2.0, "eval section: n_batches must be int, got 2.0"),
+            (None, "out_dir", 5, "run config: out_dir must be str, got 5"),
+            (None, "model", [], "run config: model must be dict, got []"),
+        ],
+    )
+    def test_wrong_type_value_outside_train_exits_2(
+        self, corpus_path, tmp_path, capsys, section, key, value, message
+    ):
+        doc = run_config(corpus_path, str(tmp_path / "run"))
+        (doc if section is None else doc[section])[key] = value
+        assert main(["train", write_config(tmp_path, doc)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_object_config_exits_2(self, tmp_path, capsys):
+        assert main(["train", write_config(tmp_path, 5)]) == 2
+        assert "run config must be a JSON object, got 5" in capsys.readouterr().err
+
+    def test_null_optional_and_int_float_values_accepted(self, corpus_path, tmp_path):
+        doc = run_config(corpus_path, str(tmp_path / "run"), grad_clip=None, peak_lr=1)
+        doc["eval"]["masking_rate"] = 0
+        assert main(["train", write_config(tmp_path, doc)]) == 0
+
+    def test_every_run_config_key_has_a_json_type(self):
+        for section, classes in (
+            (_field_names(RunConfig), [RunConfig]),
+            (_MODEL_KEYS, [ModelConfig]),
+            (_TRAIN_KEYS, [TrainConfig, CorruptionConfig]),
+            (_EVAL_KEYS, [EvalConfig]),
+        ):
+            types = {f.name: f.type for cls in classes for f in dataclasses.fields(cls)}
+            for key in section:
+                assert types[key].partition(" | ")[0] in _JSON_TYPES, key
+
+    def test_negative_stop_after_exits_2(self, corpus_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, run_config(corpus_path, str(out)))
+        assert main(["train", cfg, "--stop-after", "-5"]) == 2
+        assert "stop_after must be >= 0" in capsys.readouterr().err
+        assert not (out / "checkpoints").exists()
 
     def test_existing_dir_refused_without_force(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "run"

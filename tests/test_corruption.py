@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -211,7 +212,7 @@ class TestInvariants:
 
     def test_fraction_sum_validated(self):
         with pytest.raises(ValueError, match="sum to 1.0"):
-            CorruptionConfig(replace_mask_frac=0.7).validate()
+            CorruptionConfig(replace_mask_frac=0.7)
 
     def test_subset_mode_shrinks_loss_set(self):
         seqs = [make_sequence(100, seed=s) for s in range(3)]
@@ -234,6 +235,6 @@ class TestCorruptBatch:
             assert out.maskable == maskable_indices(seq).size
 
     def test_invalid_config_rejected(self):
-        cfg = CorruptionConfig(replace_mask_frac=0.7)
+        # a config is checked when built, so no invalid one reaches a batch
         with pytest.raises(ValueError, match="sum to 1.0"):
-            corrupt_batch([make_sequence(5)], 0.3, VOCAB_SIZE, [rng()], cfg)
+            dataclasses.replace(CorruptionConfig(), replace_mask_frac=0.7)

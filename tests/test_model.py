@@ -81,7 +81,7 @@ class TestInit:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            ModelConfig(1, 3, 8, 8, 16, 8).validate()  # d_model % n_heads != 0
+            ModelConfig(1, 3, 8, 8, 16, 8)  # d_model % n_heads != 0
 
 
 class TestForward:

@@ -11,7 +11,6 @@ from masksched.schedule import (
     parse_schedule,
     schedule_name,
     step_halfway,
-    validate,
 )
 
 T = 70_000
@@ -67,20 +66,31 @@ class TestClosedForms:
 
 
 class TestValidate:
+    """A spec checks its invariants when it is built."""
+
     def test_valid_constant(self):
-        assert validate(ScheduleSpec("constant", 0.15, 0.15, T)) == []
+        assert ScheduleSpec("constant", 0.15, 0.15, T).final_rate == 0.15
 
     def test_constant_with_unequal_rates(self):
-        problems = validate(ScheduleSpec("constant", 0.15, 0.3, T))
-        assert any("initial_rate == final_rate" in p for p in problems)
+        with pytest.raises(ScheduleError, match="initial_rate == final_rate"):
+            ScheduleSpec("constant", 0.15, 0.3, T)
 
     def test_rate_out_of_unit_interval(self):
-        problems = validate(linear(1.2, 0.15, T))
-        assert any("out of [0,1]" in p for p in problems)
+        with pytest.raises(ScheduleError, match=r"initial_rate out of \[0,1\]: 1.2"):
+            linear(1.2, 0.15, T)
 
     def test_invalid_spec_rejected_on_evaluation(self):
+        # the spec cannot be built, so it never reaches masking_rate
         with pytest.raises(ScheduleError):
             masking_rate(ScheduleSpec("constant", 0.15, 0.3, T), 0)
+
+    def test_every_problem_listed(self):
+        with pytest.raises(ScheduleError) as info:
+            ScheduleSpec("linear", 1.5, -0.1, 0)
+        assert str(info.value) == (
+            "total_steps must be >= 1; initial_rate out of [0,1]: 1.5; "
+            "final_rate out of [0,1]: -0.1"
+        )
 
 
 class TestNames:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -18,6 +19,7 @@ from masksched.trainer import (
     TrainingDiverged,
     adamw_step,
     batch_indices,
+    clip_gradients,
     init_opt_state,
     load_training_checkpoint,
     lr_at,
@@ -74,7 +76,22 @@ class TestConfigValidation:
     )
     def test_out_of_range_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
-            config(**{field: value}).validate()
+            config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "valid, change, message",
+        [
+            (MODEL, {"n_heads": 3}, "d_model must be divisible by n_heads"),
+            (config().schedule, {"final_rate": 0.3}, "requires initial_rate == final_rate"),
+            (CorruptionConfig(), {"objective": "bert"}, "unknown objective 'bert'"),
+            (EvalConfig(), {"n_batches": 0}, "n_batches must be >= 1"),
+            (config(), {"total_steps": 7}, "schedule.total_steps must equal total_steps"),
+        ],
+        ids=["model", "schedule", "corruption", "eval", "train"],
+    )
+    def test_replace_checks_again(self, valid, change, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(valid, **change)
 
 
 class TestLrSchedule:
@@ -251,6 +268,53 @@ class TestAdamWOracle:
         assert peak < opt.params.nbytes / 20, peak
 
 
+class TestGradClip:
+    @staticmethod
+    def grads():
+        rng = np.random.default_rng(7)
+        return arena(w=rng.normal(size=(6, 5)), b=rng.normal(size=5), s=rng.normal(size=1))
+
+    @staticmethod
+    def norm(grads):
+        return float(np.linalg.norm(np.concatenate([g.ravel() for g in grads.values()])))
+
+    def test_returns_pre_clip_norm(self):
+        grads = self.grads()
+        before = self.norm(grads)
+        assert clip_gradients(grads, before / 10) == pytest.approx(before, rel=1e-12, abs=0)
+
+    def test_binding_cap_sets_global_norm_to_cap(self):
+        grads = self.grads()
+        cap = self.norm(grads) / 7
+        clip_gradients(grads, cap)
+        assert self.norm(grads) == pytest.approx(cap, rel=1e-12, abs=0)
+
+    def test_gradients_under_cap_left_bit_identical(self):
+        grads = self.grads()
+        before = {name: g.copy() for name, g in grads.items()}
+        clip_gradients(grads, self.norm(grads) * 1.5)
+        for name, g in grads.items():
+            assert g.tobytes() == before[name].tobytes()
+
+    def test_binding_cap_run_reruns_byte_identical(self, toy, tmp_path, monkeypatch):
+        vocab, dataset = toy
+        cap = 1e-3
+        seen = []
+
+        def recording_clip(grads, max_norm):
+            seen.append(clip_gradients(grads, max_norm))
+            return seen[-1]
+
+        monkeypatch.setattr(trainer, "clip_gradients", recording_clip)
+        dirs = tmp_path / "r1", tmp_path / "r2", tmp_path / "unclipped"
+        for d, clip in zip(dirs, (cap, cap, None)):
+            train(MODEL, config(total_steps=10, grad_clip=clip), dataset, vocab, out_dir=str(d))
+        assert len(seen) == 20 and min(seen) > cap  # the cap binds at every step
+        for rel in ("metrics.jsonl", "checkpoints/step-10.ckpt"):
+            assert (dirs[0] / rel).read_bytes() == (dirs[1] / rel).read_bytes()
+        assert (dirs[0] / "metrics.jsonl").read_bytes() != (dirs[2] / "metrics.jsonl").read_bytes()
+
+
 class TestBatchIndices:
     def test_epoch_covers_dataset(self):
         seen = []
@@ -274,6 +338,12 @@ class TestTrainLoop:
         for name, tensor in init.items():
             np.testing.assert_array_equal(result.params[name], tensor)
         assert (tmp_path / "checkpoints" / "step-0.ckpt").exists()
+
+    def test_negative_stop_after_rejected(self, toy, tmp_path):
+        vocab, dataset = toy
+        with pytest.raises(ValueError, match="stop_after must be >= 0"):
+            train(MODEL, config(total_steps=8), dataset, vocab, out_dir=str(tmp_path), stop_after=-5)
+        assert not (tmp_path / "checkpoints").exists()
 
     def test_deterministic_rerun(self, toy, tmp_path):
         vocab, dataset = toy
