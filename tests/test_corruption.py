@@ -238,3 +238,61 @@ class TestCorruptBatch:
         # a config is checked when built, so no invalid one reaches a batch
         with pytest.raises(ValueError, match="sum to 1.0"):
             dataclasses.replace(CorruptionConfig(), replace_mask_frac=0.7)
+
+
+# Recorded outcomes of one fixed batch: a long row, a short row whose draw at
+# rate 0.25 comes out empty (so min_masked=1 forces an index) and a row with
+# nothing to mask. Any change to the order or number of generator calls moves
+# these values, and with them every pinned training run.
+_GOLDEN_SEQS = [
+    [2, 26, 28, 38, 47, 6, 11, 42, 47, 16, 19, 44, 24, 17, 42, 16, 23, 33, 29, 8, 6, 43, 38, 42, 29, 3, 0, 0],
+    [2, 42, 16, 9, 3],
+    [2, 3, 0],
+]
+_GOLDEN_ROW0_MLM = (
+    [2, 26, 28, 1, 47, 6, 1, 42, 41, 16, 19, 1, 24, 1, 42, 16, 23, 33, 29, 8, 1, 43, 38, 42, 29, 3, 0, 0],
+    [3, 4, 6, 8, 11, 13, 20],
+    [3, 4, 6, 8, 11, 13, 20],
+    [38, 47, 11, 47, 44, 17, 6],
+    24,
+)
+_GOLDEN = {
+    # (corrupted, mask_set, loss_set, labels, maskable) per row; None: no outcome
+    "mlm-min0": [_GOLDEN_ROW0_MLM, ([2, 42, 16, 9, 3], [], [], [], 3), None],
+    "mlm-min1": [_GOLDEN_ROW0_MLM, ([2, 42, 16, 1, 3], [3], [3], [9], 3), None],
+    "rts": [
+        (
+            [2, 26, 28, 18, 7, 6, 43, 42, 46, 16, 19, 19, 24, 34, 42, 16, 23, 33, 29, 8, 13, 43, 38, 42, 29, 3, 0, 0],
+            [3, 4, 6, 8, 11, 13, 20],
+            list(range(1, 25)),
+            [0, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0],
+            24,
+        ),
+        ([2, 42, 16, 9, 3], [], [1, 2, 3], [0, 0, 0], 3),
+        None,
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_corrupt_batch_golden(case):
+    cfg = {
+        "mlm-min0": CorruptionConfig(min_masked=0),
+        "mlm-min1": CorruptionConfig(min_masked=1),
+        "rts": CorruptionConfig(objective="rts"),
+    }[case]
+    seqs = [np.array(s, dtype=np.int64) for s in _GOLDEN_SEQS]
+    outcomes, ids, real = corrupt_batch(seqs, 0.25, VOCAB_SIZE, [rng(s) for s in (12, 13, 14)], cfg)
+    for row, (out, want) in enumerate(zip(outcomes, _GOLDEN[case], strict=True)):
+        if want is None:
+            assert out is None
+            np.testing.assert_array_equal(ids[row, : seqs[row].size], seqs[row])
+            continue
+        corrupted, mask_set, loss_set, labels, maskable = want
+        np.testing.assert_array_equal(out.corrupted, corrupted)
+        np.testing.assert_array_equal(out.mask_set, np.array(mask_set, dtype=np.int64))
+        np.testing.assert_array_equal(out.loss_set, np.array(loss_set, dtype=np.int64))
+        np.testing.assert_array_equal(out.labels, labels)
+        assert out.maskable == maskable
+        np.testing.assert_array_equal(ids[row, : len(corrupted)], corrupted)
+        assert real[row].sum() == len(corrupted)
