@@ -84,6 +84,8 @@ def fit_speedup_curve(steps, values) -> RegressionFit:
     values = np.asarray(values, dtype=np.float64)
     if steps.shape != values.shape or steps.ndim != 1:
         raise ValueError("steps and values must be 1-d arrays of equal length")
+    if not (np.isfinite(steps).all() and np.isfinite(values).all()):
+        raise ValueError("steps and values must be finite")
     if np.unique(steps).size < 4:
         raise ValueError("need at least 4 points with distinct steps (4 free parameters)")
     if (steps < 0).any():

@@ -1,5 +1,8 @@
-"""Token corruption: BERT-style 80/10/10 masking and RTS, per row and per batch.
+"""Token corruption: BERT-style 80/10/10 masking and RTS, one path per batch.
 
+``corrupt_batch`` is the one entry point. It checks the batch's rate once,
+then runs one row step per sequence: select each maskable position with
+probability ``rate``, then mask (MLM) or substitute (RTS) the selection.
 All randomness flows through caller-owned numpy Generators, one per
 sequence, so a batch's bytes do not depend on how its rows are processed.
 Special tokens (ids 0..4) are never masked, substituted, or labeled.
@@ -50,20 +53,20 @@ class CorruptionConfig:
 
 @dataclass
 class MaskOutcome:
-    """One corrupted sequence.
+    """One corrupted sequence, as ``corrupt_batch`` returns it per row.
 
-    For MLM, ``labels`` holds the original ids at ``loss_set`` positions.
-    For RTS, ``loss_set`` is every maskable position and ``labels`` holds a
-    0/1 substitution flag per position. ``maskable`` counts the row's
-    maskable positions; ``apply_bert_corruption``, which sees only the mask
-    set, leaves it None and ``corrupt_sequence`` fills it in.
+    For MLM, ``mask_set`` and ``loss_set`` are the masked positions and
+    ``labels`` holds the original ids there. For RTS, ``mask_set`` is the
+    substituted positions, ``loss_set`` is every maskable position and
+    ``labels`` holds a 0/1 substitution flag per position. ``maskable``
+    counts the row's maskable positions. Position arrays are ascending.
     """
 
     corrupted: np.ndarray
     mask_set: np.ndarray
     loss_set: np.ndarray
     labels: np.ndarray
-    maskable: int | None = None
+    maskable: int
 
 
 def maskable_indices(ids: np.ndarray) -> np.ndarray:
@@ -76,129 +79,6 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def sample_mask(
-    maskable: np.ndarray,
-    rate: float,
-    rng: np.random.Generator,
-    min_masked: int = 1,
-) -> np.ndarray:
-    """Include each maskable index independently with probability ``rate``.
-
-    An empty draw with ``min_masked >= 1`` force-includes one uniformly
-    random maskable index (resampling the whole mask would bias the
-    realized rate further).
-    """
-    if not (0.0 <= rate <= 1.0):
-        raise ValueError(f"rate out of [0,1]: {rate!r}")
-    maskable = np.asarray(maskable, dtype=np.int64)
-    if maskable.size == 0:
-        if rate > 0:
-            raise ValueError("nothing to mask: no maskable positions")
-        return np.empty(0, dtype=np.int64)
-    chosen = maskable[rng.random(maskable.size) < rate]
-    if chosen.size == 0 and min_masked >= 1:
-        chosen = maskable[[rng.integers(maskable.size)]]
-    return np.sort(chosen)
-
-
-def apply_bert_corruption(
-    ids: np.ndarray,
-    mask_set: np.ndarray,
-    vocab_size: int,
-    rng: np.random.Generator,
-    config: CorruptionConfig = CorruptionConfig(),
-) -> MaskOutcome:
-    """80/10/10 corruption of the masked positions, sampled i.i.d. per token.
-
-    ``mask_set`` must be sorted ascending, as ``sample_mask`` returns it.
-    Random replacements draw uniformly over non-special ids and may equal
-    the original token (standard BERT behavior).
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    mask_set = np.asarray(mask_set, dtype=np.int64)
-    corrupted = ids.copy()
-    k = mask_set.size
-    if k:
-        u = rng.random(k)
-        to_mask = u < config.replace_mask_frac
-        to_random = (~to_mask) & (u < config.replace_mask_frac + config.replace_random_frac)
-        corrupted[mask_set[to_mask]] = MASK_ID
-        n_random = int(to_random.sum())
-        if n_random:
-            corrupted[mask_set[to_random]] = rng.integers(
-                N_SPECIALS, vocab_size, size=n_random
-            )
-    return MaskOutcome(
-        corrupted=corrupted,
-        mask_set=mask_set,
-        loss_set=mask_set,
-        labels=ids[mask_set],
-    )
-
-
-def apply_rts(
-    ids: np.ndarray,
-    rate: float,
-    vocab_size: int,
-    rng: np.random.Generator,
-) -> MaskOutcome:
-    """Random-token substitution: flip each maskable token with prob ``rate``.
-
-    Substitutes draw uniformly over non-special ids *different from the
-    original* (the 0/1 label must be well-defined), and every maskable
-    position is labeled.
-    """
-    if not (0.0 <= rate <= 1.0):
-        raise ValueError(f"rate out of [0,1]: {rate!r}")
-    if vocab_size - N_SPECIALS < 2:
-        raise ValueError("cannot substitute: need at least 2 non-special tokens")
-    ids = np.asarray(ids, dtype=np.int64)
-    maskable = maskable_indices(ids)
-    corrupted = ids.copy()
-    flags = np.zeros(maskable.size, dtype=np.int64)
-    if maskable.size:
-        hit = rng.random(maskable.size) < rate
-        flags[hit] = 1
-        positions = maskable[hit]
-        if positions.size:
-            # Draw over vocab_size - 1 non-special ids and skip past the
-            # original, giving a uniform draw over the ids != original.
-            draws = rng.integers(N_SPECIALS, vocab_size - 1, size=positions.size)
-            draws = draws + (draws >= ids[positions])
-            corrupted[positions] = draws
-    return MaskOutcome(
-        corrupted=corrupted,
-        mask_set=np.sort(maskable[flags == 1]),
-        loss_set=maskable,
-        labels=flags,
-        maskable=maskable.size,
-    )
-
-
-def corrupt_sequence(
-    ids: np.ndarray,
-    rate: float,
-    vocab_size: int,
-    rng: np.random.Generator,
-    config: CorruptionConfig = CorruptionConfig(),
-) -> MaskOutcome | None:
-    """Corrupt one sequence per the configured objective.
-
-    Returns None when the sequence has no maskable positions (such rows
-    contribute context but no loss terms).
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    maskable = maskable_indices(ids)
-    if maskable.size == 0:
-        return None
-    if config.objective == "rts":
-        return apply_rts(ids, rate, vocab_size, rng)
-    mask_set = sample_mask(maskable, rate, rng, config.min_masked)
-    outcome = apply_bert_corruption(ids, mask_set, vocab_size, rng, config)
-    outcome.maskable = maskable.size
-    return outcome
-
-
 def corrupt_batch(
     seqs: list[np.ndarray],
     rate: float,
@@ -208,15 +88,58 @@ def corrupt_batch(
 ) -> tuple[list[MaskOutcome | None], np.ndarray, np.ndarray]:
     """Corrupt row i with ``rngs[i]`` and right-pad the result.
 
-    Returns the per-row outcomes and the padded (ids, real_mask); rows with
-    nothing to mask enter the batch unchanged.
+    Returns the per-row outcomes and the padded (ids, real_mask). A row
+    with nothing to mask has outcome None and enters the batch unchanged;
+    it contributes context but no loss terms.
     """
+    if not (0.0 <= rate <= 1.0):
+        raise ValueError(f"rate out of [0,1]: {rate!r}")
+    if config.objective == "rts" and vocab_size - N_SPECIALS < 2:
+        raise ValueError("cannot substitute: need at least 2 non-special tokens")
     outcomes = [
-        corrupt_sequence(seq, rate, vocab_size, rng, config)
+        _corrupt_row(np.asarray(seq, dtype=np.int64), rate, vocab_size, rng, config)
         for seq, rng in zip(seqs, rngs, strict=True)
     ]
     ids, real = pad_batch([seq if o is None else o.corrupted for seq, o in zip(seqs, outcomes)])
     return outcomes, ids, real
+
+
+def _corrupt_row(ids, rate, vocab_size, rng, config) -> MaskOutcome | None:
+    """Select each maskable position independently with probability ``rate``.
+
+    MLM: an empty draw with ``min_masked >= 1`` force-includes one uniformly
+    random maskable position (resampling the whole mask would bias the
+    realized rate further). Each selected position then becomes [MASK],
+    a uniform non-special id (which may equal the original, as in BERT) or
+    stays, per the config's fractions, drawn i.i.d. per position.
+
+    RTS: each selected position gets a uniform non-special id *different
+    from the original*, so the 0/1 label is well defined, and every
+    maskable position is labeled.
+    """
+    maskable = maskable_indices(ids)
+    n = maskable.size
+    if n == 0:
+        return None
+    corrupted = ids.copy()
+    hit = rng.random(n) < rate
+    selected = maskable[hit]
+    if config.objective == "rts":
+        # Draw over vocab_size - 1 non-special ids and skip past the
+        # original, giving a uniform draw over the ids != original.
+        draws = rng.integers(N_SPECIALS, vocab_size - 1, size=selected.size)
+        corrupted[selected] = draws + (draws >= ids[selected])
+        return MaskOutcome(corrupted, selected, maskable, hit.astype(np.int64), n)
+    if selected.size == 0 and config.min_masked >= 1:
+        selected = maskable[[rng.integers(n)]]
+    u = rng.random(selected.size)
+    to_mask = u < config.replace_mask_frac
+    to_random = (~to_mask) & (u < config.replace_mask_frac + config.replace_random_frac)
+    corrupted[selected[to_mask]] = MASK_ID
+    corrupted[selected[to_random]] = rng.integers(
+        N_SPECIALS, vocab_size, size=int(to_random.sum())
+    )
+    return MaskOutcome(corrupted, selected, selected, ids[selected], n)
 
 
 def collate_targets(outcomes: list[MaskOutcome | None]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

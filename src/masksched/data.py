@@ -116,8 +116,9 @@ def atomic_write(path: str, mode: str = "wb", **open_kwargs):
     """Write through a temp file that replaces ``path`` only once complete.
 
     The temp file is fsynced before ``os.replace``, so ``path`` holds either
-    its previous bytes or all of the new ones. If the block raises, the temp
-    file is removed and ``path`` is left as it was.
+    its previous bytes or all of the new ones, and the directory is fsynced
+    after it, so the rename itself survives a crash (POSIX). If the block
+    raises, the temp file is removed and ``path`` is left as it was.
     """
     tmp = path + ".tmp"
     try:
@@ -126,6 +127,11 @@ def atomic_write(path: str, mode: str = "wb", **open_kwargs):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

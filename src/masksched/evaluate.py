@@ -92,8 +92,7 @@ def eval_mlm(
         labels, rows, cols = collate_targets(outcomes)
         if labels.size == 0:
             continue
-        out = model.forward(params, config, ids, real, heads=("mlm",), positions=(rows, cols))
-        batch_losses.append(model.mlm_loss(out, labels, rows, cols))
+        batch_losses.append(model.loss(params, config, ids, real, {"mlm": (labels, rows, cols)}))
     if not batch_losses:
         raise ValueError("empty evaluation set: no maskable positions")
     mean_loss = float(np.mean(batch_losses))

@@ -7,10 +7,17 @@ checker and the test oracles can demand tight agreement.
 
 The MLM head projects only the positions a caller scores: ``forward`` takes
 ``positions=(rows, cols)`` and returns (n, V) logits, one row per position;
-without it every position is scored and the logits are (B, S, V). Training,
-evaluation and pseudo-log-likelihood pass their positions, so no dense
-logits tensor is built. Per-layer activations are kept only for
-``backward``; a forward-only call keeps just the final hidden state.
+without it every position is scored and the logits are (B, S, V).
+Pseudo-log-likelihood passes its positions to ``forward``.
+
+``loss(params, config, ids, real_mask, targets)`` is the one loss entry
+point: ``targets`` maps each head to its (labels, rows, cols), the MLM head
+scores just those rows and cols, and the head losses are summed.
+``backward`` differentiates the same loss, and training, evaluation and
+the gradient check all go through the two. ``mlm_loss_grad`` and
+``rts_loss_grad`` are the per-head losses on raw logits. Per-layer
+activations are kept only for ``backward``; a forward-only call keeps just
+the final hidden state.
 
 Parameters live in a plain dict keyed by name; ``param_shapes`` defines the
 canonical ordering used everywhere. ``init_params`` and the gradients of
@@ -62,16 +69,11 @@ class ModelConfig:
 
 @dataclass
 class ForwardOutput:
-    """Head outputs of one forward pass.
-
-    ``mlm_positions`` is the (rows, cols) pair the MLM logits were computed
-    at, in row order; None means every position, with (B, S, V) logits.
-    """
+    """Head outputs of one forward pass."""
 
     mlm_logits: np.ndarray | None
     rts_logits: np.ndarray | None
     cache: dict = field(repr=False, default_factory=dict)
-    mlm_positions: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -290,7 +292,7 @@ def _forward(params, config, ids, real_mask, heads, positions, keep_activations)
         if positions is None:
             mlm_logits = mlm_logits.reshape(batch, length, config.vocab_size)
     rts_logits = hfin @ params["rts_head.w"] + params["rts_head.b"][0] if "rts" in heads else None
-    return ForwardOutput(mlm_logits, rts_logits, cache, positions if "mlm" in heads else None)
+    return ForwardOutput(mlm_logits, rts_logits, cache)
 
 
 def _head_input(hfin: np.ndarray, positions) -> np.ndarray:
@@ -303,66 +305,52 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def mlm_loss(
-    output: ForwardOutput,
-    labels: np.ndarray,
-    loss_rows: np.ndarray,
-    loss_cols: np.ndarray,
-) -> float:
-    """Mean negative log-likelihood of the labels over the loss positions.
-
-    Logits computed at given positions must have been computed at exactly
-    these loss positions.
-    """
-    logits = output.mlm_logits
-    if output.mlm_positions is None:
-        logits = logits[loss_rows, loss_cols]
-    elif not all(
-        np.array_equal(have, want) for have, want in zip(output.mlm_positions, (loss_rows, loss_cols))
-    ):
-        raise ValueError("loss positions differ from the positions the MLM head scored")
-    loss, _ = _mlm_loss_grad(logits, labels)
-    return loss
-
-
-def _mlm_loss_grad(logits, labels):
-    """Loss and its gradient for (n, V) logits, row i labelled labels[i]."""
+def mlm_loss_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean negative log-likelihood of the labels under (n, V) logits, row i
+    labelled ``labels[i]``, and its gradient with respect to the logits."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ValueError("loss undefined: empty loss set")
     logp = log_softmax(logits)
     n = labels.size
-    loss = -logp[np.arange(n), labels].mean()
+    value = -logp[np.arange(n), labels].mean()
     dlogits = np.exp(logp)
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
-    return float(loss), dlogits
+    return float(value), dlogits
 
 
-def rts_loss(
-    output: ForwardOutput,
-    flags: np.ndarray,
-    loss_rows: np.ndarray,
-    loss_cols: np.ndarray,
-) -> float:
-    """Mean binary cross-entropy of the substitution flags."""
-    loss, _ = _rts_loss_grad(output.rts_logits, flags, loss_rows, loss_cols)
-    return loss
-
-
-def _rts_loss_grad(rts_logits, flags, loss_rows, loss_cols):
+def rts_loss_grad(rts_logits, flags, loss_rows, loss_cols) -> tuple[float, np.ndarray]:
+    """Mean binary cross-entropy of the substitution flags at the loss
+    positions of (B, S) logits, and its gradient with respect to them."""
     flags = np.asarray(flags, dtype=np.float64)
     if flags.size == 0:
         raise ValueError("loss undefined: no labeled positions")
     z = rts_logits[loss_rows, loss_cols]
     # softplus(z) - y*z and sigmoid, both computed overflow-free
-    loss = float((np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - flags * z).mean())
+    value = float((np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - flags * z).mean())
     exp_neg = np.exp(-np.abs(z))
     sigma = np.where(z >= 0, 1.0 / (1.0 + exp_neg), exp_neg / (1.0 + exp_neg))
     dz = (sigma - flags) / flags.size
     dlogits = np.zeros_like(rts_logits)
     np.add.at(dlogits, (loss_rows, loss_cols), dz)
-    return loss, dlogits
+    return value, dlogits
+
+
+def loss(
+    params: Params,
+    config: ModelConfig,
+    ids: np.ndarray,
+    real_mask: np.ndarray,
+    targets: dict,
+) -> float:
+    """The loss ``backward`` differentiates, for the same ``targets``.
+
+    ``targets`` maps head name ("mlm" and/or "rts") to a
+    (labels, loss_rows, loss_cols) triple; when both heads are given the
+    losses are summed. The MLM head scores only its loss positions.
+    """
+    return _head_losses(params, config, ids, real_mask, targets, keep_activations=False)[0]
 
 
 def backward(
@@ -372,43 +360,38 @@ def backward(
     real_mask: np.ndarray,
     targets: dict,
 ) -> tuple[float, Params]:
-    """Loss value and its exact gradient with respect to every parameter.
-
-    ``targets`` maps head name ("mlm" and/or "rts") to a
-    (labels, loss_rows, loss_cols) triple; when both heads are given the
-    losses are summed.
-    """
-    total, out, d_mlm, d_rts = _targets_loss(
+    """``loss`` and its exact gradient with respect to every parameter."""
+    total, out, d_mlm, d_rts = _head_losses(
         params, config, ids, real_mask, targets, keep_activations=True
     )
-    grads = _backward_from_heads(params, config, ids, out, d_mlm, d_rts)
+    grads = _backward_from_heads(params, config, ids, out, targets, d_mlm, d_rts)
     return total, grads
 
 
-def _targets_loss(params, config, ids, real_mask, targets, keep_activations=False):
-    """Forward pass for ``targets`` (see ``backward``), the summed head
-    losses, and each head's gradient with respect to its logits."""
+def _head_losses(params, config, ids, real_mask, targets, keep_activations):
+    """The forward pass for ``targets``, the summed head losses, and each
+    head's gradient with respect to its logits."""
     positions = targets["mlm"][1:] if "mlm" in targets else None
     out = _forward(params, config, ids, real_mask, tuple(targets), positions, keep_activations)
     total = 0.0
     d_mlm = d_rts = None
     if "mlm" in targets:
-        loss, d_mlm = _mlm_loss_grad(out.mlm_logits, targets["mlm"][0])
-        total += loss
+        head_loss, d_mlm = mlm_loss_grad(out.mlm_logits, targets["mlm"][0])
+        total += head_loss
     if "rts" in targets:
         flags, rows, cols = targets["rts"]
-        loss, d_rts = _rts_loss_grad(out.rts_logits, flags, rows, cols)
-        total += loss
+        head_loss, d_rts = rts_loss_grad(out.rts_logits, flags, rows, cols)
+        total += head_loss
     return total, out, d_mlm, d_rts
 
 
-def _backward_from_heads(params, config, ids, out, d_mlm, d_rts) -> Params:
+def _backward_from_heads(params, config, ids, out, targets, d_mlm, d_rts) -> Params:
     _, (grads,) = tensor_arena({name: tensor.shape for name, tensor in params.items()})
     cache = out.cache
     hfin = cache["hfin"]
     d_hfin = np.zeros_like(hfin)
     if d_mlm is not None:
-        positions = out.mlm_positions
+        positions = targets["mlm"][1:]
         grads["mlm_head.w"] += _head_input(hfin, positions).T @ d_mlm
         grads["mlm_head.b"] += d_mlm.sum(axis=0)
         np.add.at(d_hfin, positions, d_mlm @ params["mlm_head.w"].T)
@@ -547,9 +530,6 @@ def grad_check(
     if not math.isfinite(loss0):
         raise ValueError("non-finite loss in gradient check")
 
-    def loss_at(p: Params) -> float:
-        return _targets_loss(p, config, ids, real, targets)[0]
-
     rng = np.random.default_rng(np.random.SeedSequence((seed, 910)))
     names = list(params)
     sizes = np.array([params[n].size for n in names], dtype=np.int64)
@@ -571,9 +551,9 @@ def grad_check(
             idx = np.unravel_index(int(fi), tensor.shape)
             orig = tensor[idx]
             tensor[idx] = orig + h
-            f_plus = loss_at(params)
+            f_plus = loss(params, config, ids, real, targets)
             tensor[idx] = orig - h
-            f_minus = loss_at(params)
+            f_minus = loss(params, config, ids, real, targets)
             tensor[idx] = orig
             numeric = (f_plus - f_minus) / (2.0 * h)
             analytic = float(grads[name][idx])

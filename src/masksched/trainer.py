@@ -100,8 +100,19 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not (0 < self.warmup_fraction < 1):
             raise ValueError("warmup_fraction must be in (0, 1)")
+        if not (math.isfinite(self.peak_lr) and self.peak_lr > 0):
+            raise ValueError("peak_lr must be finite and > 0")
+        if not (math.isfinite(self.final_lr) and self.final_lr >= 0):
+            raise ValueError("final_lr must be finite and >= 0")
         if self.final_lr > self.peak_lr:
             raise ValueError("final_lr must not exceed peak_lr")
+        for name in ("beta1", "beta2"):
+            if not (0 <= getattr(self, name) < 1):
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not (self.eps > 0):
+            raise ValueError("eps must be > 0")
+        if not (self.weight_decay >= 0):
+            raise ValueError("weight_decay must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.grad_clip is not None and not (self.grad_clip > 0):
@@ -511,9 +522,8 @@ def train(
                         np.random.SeedSequence((train_config.seed, _SUBSET_DOMAIN, t))
                     ),
                 )
-            head = "rts" if train_config.objective == "rts" else "mlm"
             loss, grads = model.backward(
-                params, model_config, ids, real, {head: (labels, rows, cols)}
+                params, model_config, ids, real, {train_config.objective: (labels, rows, cols)}
             )
             if not math.isfinite(loss):
                 raise TrainingDiverged(t, f"non-finite loss {loss!r}")

@@ -20,7 +20,7 @@ from masksched import model
 from masksched.cli import main as cli_main
 from masksched.corruption import (
     CorruptionConfig,
-    corrupt_sequence,
+    corrupt_batch,
     maskable_indices,
     round_half_up,
 )
@@ -34,7 +34,7 @@ from masksched.data import (
     synthetic_zipf_corpus,
 )
 from masksched.evaluate import EvalConfig, pll
-from masksched.model import ForwardOutput, ModelConfig, grad_check, init_params
+from masksched.model import ModelConfig, grad_check, init_params
 from masksched.analysis import (
     crossover_step,
     fit_speedup_curve,
@@ -127,8 +127,8 @@ def test_c02_corruption_statistics():
                     [SEP_ID, PAD_ID, PAD_ID],
                 ]
             ).astype(np.int64)
-            out = corrupt_sequence(
-                ids, rate, vocab_size, np.random.default_rng((77, i)), cfg
+            (out,), _, _ = corrupt_batch(
+                [ids], rate, vocab_size, [np.random.default_rng((77, i))], cfg
             )
             masked += out.mask_set.size
             specials = np.array([0, body + 1, body + 2, body + 3])
@@ -250,24 +250,24 @@ def test_c05_oracle_equivalence():
             assert np.abs(out.mlm_logits - ref_mlm).max() < 1e-10
             assert np.abs(out.rts_logits - ref_rts).max() < 1e-10
 
-        for _ in range(50):  # mlm_loss
+        for _ in range(50):  # MLM loss on raw logits
             batch, length, vocab = int(rng.integers(1, 4)), int(rng.integers(2, 8)), int(rng.integers(5, 20))
             logits = rng.normal(size=(batch, length, vocab)) * 3
             k = int(rng.integers(1, batch * length + 1))
             rows = rng.integers(0, batch, size=k)
             cols = rng.integers(0, length, size=k)
             labels = rng.integers(0, vocab, size=k)
-            ours = model.mlm_loss(ForwardOutput(logits, None), labels, rows, cols)
+            ours, _ = model.mlm_loss_grad(logits[rows, cols], labels)
             assert abs(ours - ref_mlm_loss(logits, labels, rows, cols)) < 1e-10
 
-        for _ in range(50):  # rts_loss
+        for _ in range(50):  # RTS loss on raw logits
             batch, length = int(rng.integers(1, 4)), int(rng.integers(2, 8))
             logits = rng.normal(size=(batch, length)) * 3
             k = int(rng.integers(1, batch * length + 1))
             rows = rng.integers(0, batch, size=k)
             cols = rng.integers(0, length, size=k)
             flags = rng.integers(0, 2, size=k)
-            ours = model.rts_loss(ForwardOutput(None, logits), flags, rows, cols)
+            ours, _ = model.rts_loss_grad(logits, flags, rows, cols)
             assert abs(ours - ref_rts_loss(logits, flags, rows, cols)) < 1e-10
 
         from masksched.data import MASK_ID
@@ -417,11 +417,11 @@ def test_c09_rts_objective(small_toy):
             if name.endswith(".scale"):
                 zero[name][:] = 1.0
         ids = dataset[0][None, :]
-        out = model.forward(zero, SMALL_MODEL, ids, np.ones_like(ids, dtype=bool), heads=("rts",))
         cols = maskable_indices(dataset[0])
         rows = np.zeros(cols.size, dtype=np.int64)
         flags = np.ones(cols.size, dtype=np.int64)
-        loss = model.rts_loss(out, flags, rows, cols)
+        real = np.ones_like(ids, dtype=bool)
+        loss = model.loss(zero, SMALL_MODEL, ids, real, {"rts": (flags, rows, cols)})
         assert abs(loss - math.log(2.0)) < 1e-9
 
 

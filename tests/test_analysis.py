@@ -52,6 +52,18 @@ class TestFit:
         with pytest.raises(ValueError, match="distinct"):
             fit_speedup_curve([1.0, 1.0, 2.0, 3.0], [0.1, 0.1, 0.2, 0.3])
 
+    @pytest.mark.parametrize(
+        "steps, values",
+        [
+            ([1.0, 2.0, 3.0, 4.0, math.inf], [0.1, 0.2, 0.3, 0.35, 0.4]),
+            ([1.0, 2.0, 3.0, 4.0, 5.0], [0.1, 0.2, math.nan, 0.35, 0.4]),
+        ],
+        ids=["infinite-step", "nan-value"],
+    )
+    def test_non_finite_input_rejected(self, steps, values):
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_speedup_curve(steps, values)
+
     def test_invariant_to_point_order(self):
         values = synthetic_values(noise=5e-4, seed=3)
         fit1 = fit_speedup_curve(STEPS, values)

@@ -90,6 +90,7 @@ class TestTrainCommand:
         "key, value",
         [
             ("grad_clip", -1.0),
+            ("peak_lr", -1e-3),
             ("eval_every", -4),
             ("checkpoint_every", -4),
             # wrong JSON types
@@ -284,6 +285,13 @@ class TestSpeedupCommand:
     def test_unknown_baseline_exits_2(self, tmp_path, capsys):
         path = self.write_series(tmp_path)
         assert main(["speedup", path, "--baseline", "nope"]) == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"step,value\n1,0.1\n2,0.2\n3,{bad}\n4,0.35\n5,0.4\n", encoding="utf-8")
+        assert main(["speedup", str(path), "--baseline", "bad"]) == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_short_series_exits_2(self, tmp_path, capsys):
         path = tmp_path / "short.csv"

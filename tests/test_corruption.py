@@ -6,23 +6,26 @@ import pytest
 
 from masksched.corruption import (
     CorruptionConfig,
-    apply_bert_corruption,
-    apply_rts,
     collate_targets,
     corrupt_batch,
-    corrupt_sequence,
     maskable_indices,
     round_half_up,
-    sample_mask,
 )
 from masksched.data import CLS_ID, MASK_ID, N_SPECIALS, PAD_ID, SEP_ID, UNK_ID
 from masksched.trainer import restrict_loss_budget
 
 VOCAB_SIZE = 50
+RTS = CorruptionConfig(objective="rts")
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def corrupt_row(ids, rate, generator, cfg=CorruptionConfig(), vocab_size=VOCAB_SIZE):
+    """The outcome of a one-row batch."""
+    outcomes, _, _ = corrupt_batch([ids], rate, vocab_size, [generator], cfg)
+    return outcomes[0]
 
 
 def make_sequence(n_tokens, seed=1, pad=0):
@@ -34,47 +37,46 @@ def make_sequence(n_tokens, seed=1, pad=0):
 
 class TestSampleMask:
     def test_rate_zero_no_min(self):
-        m = sample_mask(np.arange(1, 11), 0.0, rng(), min_masked=0)
-        assert m.size == 0
+        out = corrupt_row(make_sequence(10), 0.0, rng(), CorruptionConfig(min_masked=0))
+        assert out.mask_set.size == 0
 
     def test_rate_one_takes_all(self):
-        maskable = np.arange(1, 11)
-        m = sample_mask(maskable, 1.0, rng())
-        np.testing.assert_array_equal(m, maskable)
+        out = corrupt_row(make_sequence(10), 1.0, rng())
+        np.testing.assert_array_equal(out.mask_set, np.arange(1, 11))
 
     def test_million_trials_within_three_sigma(self):
         n = 10**6
-        maskable = np.arange(n)
-        m = sample_mask(maskable, 0.3, rng(42), min_masked=0)
+        ids = np.full(n, N_SPECIALS, dtype=np.int64)  # every position maskable
+        m = corrupt_row(ids, 0.3, rng(42), CorruptionConfig(min_masked=0)).mask_set
         sigma = math.sqrt(0.3 * 0.7 / n)
         assert abs(m.size / n - 0.3) < 3 * sigma
         # independent sampler over the same distribution agrees on the rate
         other = (np.random.default_rng(99).random(n) < 0.3).sum() / n
         assert abs(m.size / n - other) < 6 * sigma
 
-    def test_empty_maskable_with_positive_rate_rejected(self):
-        with pytest.raises(ValueError, match="nothing to mask"):
-            sample_mask(np.array([], dtype=int), 0.5, rng())
-
     def test_force_include_on_empty_draw(self):
-        maskable = np.arange(3, 7)
-        m = sample_mask(maskable, 1e-12, rng(0), min_masked=1)
+        ids = np.array([CLS_ID, UNK_ID, PAD_ID, 10, 11, 12, 13])  # maskable: 3..6
+        m = corrupt_row(ids, 1e-12, rng(0), CorruptionConfig(min_masked=1)).mask_set
         assert m.size == 1
-        assert m[0] in maskable
+        assert m[0] in np.arange(3, 7)
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.5, math.nan])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match="rate out of"):
+            corrupt_batch([np.array([CLS_ID, SEP_ID])], rate, VOCAB_SIZE, [rng()])
 
 
 class TestBertCorruption:
     def test_empty_mask_is_identity(self):
         ids = make_sequence(8)
-        out = apply_bert_corruption(ids, np.array([], dtype=int), VOCAB_SIZE, rng())
+        out = corrupt_row(ids, 0.0, rng(), CorruptionConfig(min_masked=0))
         np.testing.assert_array_equal(out.corrupted, ids)
         assert out.loss_set.size == 0
 
     def test_action_proportions_within_three_sigma(self):
         n = 10**6
         ids = np.full(n, N_SPECIALS + 1, dtype=np.int64)  # all the same real token
-        mask = np.arange(n)
-        out = apply_bert_corruption(ids, mask, VOCAB_SIZE, rng(7))
+        out = corrupt_row(ids, 1.0, rng(7))
         n_masked_tok = (out.corrupted == MASK_ID).sum()
         kept = (out.corrupted == ids).sum()
         # a random draw can reproduce the original id, so count "kept" with
@@ -86,8 +88,7 @@ class TestBertCorruption:
 
     def test_random_replacements_never_special(self):
         ids = make_sequence(2000, seed=3)
-        maskable = maskable_indices(ids)
-        out = apply_bert_corruption(ids, maskable, VOCAB_SIZE, rng(5))
+        out = corrupt_row(ids, 1.0, rng(5))
         changed = out.corrupted != ids
         # every changed token is either [MASK] or a non-special random draw
         values = out.corrupted[changed]
@@ -99,7 +100,7 @@ class TestBertCorruption:
     def test_labels_are_original_ids(self):
         ids = make_sequence(10)
         maskable = maskable_indices(ids)
-        out = apply_bert_corruption(ids, maskable, VOCAB_SIZE, rng(1))
+        out = corrupt_row(ids, 1.0, rng(1))
         np.testing.assert_array_equal(out.labels, ids[maskable])
         np.testing.assert_array_equal(out.loss_set, maskable)
 
@@ -137,13 +138,13 @@ class TestSubsetLoss:
 class TestRts:
     def test_rate_zero_identity(self):
         ids = make_sequence(12)
-        out = apply_rts(ids, 0.0, VOCAB_SIZE, rng())
+        out = corrupt_row(ids, 0.0, rng(), RTS)
         np.testing.assert_array_equal(out.corrupted, ids)
         assert (out.labels == 0).all()
 
     def test_rate_one_substitutes_everything(self):
         ids = make_sequence(50)
-        out = apply_rts(ids, 1.0, VOCAB_SIZE, rng(2))
+        out = corrupt_row(ids, 1.0, rng(2), RTS)
         maskable = maskable_indices(ids)
         assert (out.corrupted[maskable] != ids[maskable]).all()
         assert (out.labels == 1).all()
@@ -152,34 +153,34 @@ class TestRts:
     def test_substitution_rate_within_three_sigma(self):
         n = 10**6
         ids = np.full(n, N_SPECIALS + 2, dtype=np.int64)
-        out = apply_rts(ids, 0.3, VOCAB_SIZE, rng(11))
+        out = corrupt_row(ids, 0.3, rng(11), RTS)
         sigma = math.sqrt(0.3 * 0.7 / n)
         assert abs(out.labels.mean() - 0.3) < 3 * sigma
 
     def test_labels_cover_all_maskable_positions(self):
         ids = make_sequence(9, pad=3)
-        out = apply_rts(ids, 0.5, VOCAB_SIZE, rng(3))
+        out = corrupt_row(ids, 0.5, rng(3), RTS)
         np.testing.assert_array_equal(out.loss_set, maskable_indices(ids))
         assert out.labels.size == out.loss_set.size
 
     def test_tiny_vocab_rejected(self):
         ids = make_sequence(4)
         with pytest.raises(ValueError, match="cannot substitute"):
-            apply_rts(ids, 0.5, N_SPECIALS + 1, rng())
+            corrupt_row(ids, 0.5, rng(), RTS, vocab_size=N_SPECIALS + 1)
 
 
 class TestInvariants:
     def test_untouched_outside_mask(self):
         ids = make_sequence(30, pad=2)
         cfg = CorruptionConfig()
-        out = corrupt_sequence(ids, 0.4, VOCAB_SIZE, rng(8), cfg)
+        out = corrupt_row(ids, 0.4, rng(8), cfg)
         outside = np.setdiff1d(np.arange(len(ids)), out.mask_set)
         np.testing.assert_array_equal(out.corrupted[outside], ids[outside])
 
     def test_specials_never_selected(self):
         ids = np.array([CLS_ID, UNK_ID, N_SPECIALS, N_SPECIALS + 1, SEP_ID, PAD_ID])
         for seed in range(50):
-            out = corrupt_sequence(ids, 1.0, VOCAB_SIZE, rng(seed))
+            out = corrupt_row(ids, 1.0, rng(seed))
             special_positions = np.array([0, 1, 4, 5])
             assert not np.isin(special_positions, out.mask_set).any()
             assert not np.isin(special_positions, out.loss_set).any()
@@ -187,8 +188,8 @@ class TestInvariants:
 
     def test_deterministic_given_seed(self):
         ids = make_sequence(20)
-        a = corrupt_sequence(ids, 0.3, VOCAB_SIZE, rng(123))
-        b = corrupt_sequence(ids, 0.3, VOCAB_SIZE, rng(123))
+        a = corrupt_row(ids, 0.3, rng(123))
+        b = corrupt_row(ids, 0.3, rng(123))
         np.testing.assert_array_equal(a.corrupted, b.corrupted)
         np.testing.assert_array_equal(a.mask_set, b.mask_set)
         np.testing.assert_array_equal(a.labels, b.labels)
@@ -200,7 +201,7 @@ class TestInvariants:
         total_masked = 0
         for seed in range(100):
             ids = make_sequence(400, seed=seed)
-            out = corrupt_sequence(ids, rate, VOCAB_SIZE, rng(seed + 1000))
+            out = corrupt_row(ids, rate, rng(seed + 1000))
             total_maskable += maskable_indices(ids).size
             total_masked += out.mask_set.size
         sigma = math.sqrt(rate * (1 - rate) / total_maskable)
@@ -208,7 +209,7 @@ class TestInvariants:
 
     def test_unmaskable_sequence_returns_none(self):
         ids = np.array([CLS_ID, SEP_ID])
-        assert corrupt_sequence(ids, 0.3, VOCAB_SIZE, rng()) is None
+        assert corrupt_row(ids, 0.3, rng()) is None
 
     def test_fraction_sum_validated(self):
         with pytest.raises(ValueError, match="sum to 1.0"):

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from masksched.data import (
     SPECIAL_TOKENS,
     UNK_ID,
     Vocab,
+    atomic_write,
     build_vocab,
     encode,
     epoch_permutation,
@@ -167,6 +171,21 @@ class TestVocabFile:
         save_vocab(v1, str(p1))
         save_vocab(v2, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_atomic_write_fsyncs_the_directory_after_the_rename(self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+
+        def record(fd):
+            synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), os.path.exists(tmp_path / "out.bin")))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", record)
+        with atomic_write(str(tmp_path / "out.bin")) as fh:
+            fh.write(b"payload")
+        # the file before the rename, then its directory once it is in place
+        assert synced == [(False, False), (True, True)]
+        assert (tmp_path / "out.bin").read_bytes() == b"payload"
 
     def test_specials_pinned(self):
         with pytest.raises(ValueError, match="special tokens"):

@@ -5,16 +5,16 @@ import pytest
 
 from masksched.data import CLS_ID, N_SPECIALS, PAD_ID, SEP_ID
 from masksched.model import (
-    ForwardOutput,
     ModelConfig,
     backward,
     forward,
     grad_check,
     init_params,
     log_softmax,
-    mlm_loss,
+    loss,
+    mlm_loss_grad,
     param_shapes,
-    rts_loss,
+    rts_loss_grad,
 )
 
 from oracles import ref_forward_tiny, ref_mlm_loss, ref_rts_loss
@@ -135,58 +135,51 @@ class TestForward:
 class TestLosses:
     def test_uniform_logits_gives_log_vocab(self):
         logits = np.zeros((1, 3, 100))
-        out = ForwardOutput(mlm_logits=logits, rts_logits=None)
         rows = np.array([0, 0])
         cols = np.array([1, 2])
         labels = np.array([3, 9])
-        assert abs(mlm_loss(out, labels, rows, cols) - math.log(100)) < 1e-12
+        assert abs(mlm_loss_grad(logits[rows, cols], labels)[0] - math.log(100)) < 1e-12
 
     def test_confident_correct_logits_drive_loss_to_zero(self):
         logits = np.zeros((1, 1, 10))
         logits[0, 0, 4] = 50.0
-        out = ForwardOutput(mlm_logits=logits, rts_logits=None)
-        loss = mlm_loss(out, np.array([4]), np.array([0]), np.array([0]))
-        assert loss < 1e-12
+        value, _ = mlm_loss_grad(logits[[0], [0]], np.array([4]))
+        assert value < 1e-12
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(2, 4, 11))
-        out1 = ForwardOutput(mlm_logits=logits, rts_logits=None)
-        out2 = ForwardOutput(mlm_logits=logits + 123.456, rts_logits=None)
         rows = np.array([0, 1, 1])
         cols = np.array([0, 2, 3])
         labels = np.array([1, 5, 10])
-        l1 = mlm_loss(out1, labels, rows, cols)
-        l2 = mlm_loss(out2, labels, rows, cols)
+        l1, _ = mlm_loss_grad(logits[rows, cols], labels)
+        l2, _ = mlm_loss_grad(logits[rows, cols] + 123.456, labels)
         assert abs(l1 - l2) < 1e-9
 
     def test_empty_loss_set_rejected(self):
-        out = ForwardOutput(mlm_logits=np.zeros((1, 2, 5)), rts_logits=None)
         with pytest.raises(ValueError, match="loss undefined"):
-            mlm_loss(out, np.array([], dtype=int), np.array([], dtype=int), np.array([], dtype=int))
+            mlm_loss_grad(np.zeros((0, 5)), np.array([], dtype=int))
 
     def test_rts_zero_logits_is_ln2(self):
-        out = ForwardOutput(mlm_logits=None, rts_logits=np.zeros((2, 5)))
         rows = np.array([0, 0, 1])
         cols = np.array([1, 2, 3])
         flags = np.array([0, 1, 1])
-        assert abs(rts_loss(out, flags, rows, cols) - math.log(2)) < 1e-12
+        assert abs(rts_loss_grad(np.zeros((2, 5)), flags, rows, cols)[0] - math.log(2)) < 1e-12
 
     def test_rts_perfect_separation(self):
         z = np.array([[60.0, -60.0]])
-        out = ForwardOutput(mlm_logits=None, rts_logits=z)
         rows = np.array([0, 0])
         cols = np.array([0, 1])
-        loss = rts_loss(out, np.array([1, 0]), rows, cols)
-        assert loss < 1e-12
+        value, _ = rts_loss_grad(z, np.array([1, 0]), rows, cols)
+        assert value < 1e-12
 
     def test_losses_match_reference(self):
         params = init_params(TINY)
         ids, real = random_batch(TINY, 6, batch=2, length=5)
         rows, cols, labels, flags = loss_targets(TINY, ids, seed=1)
         out = forward(params, TINY, ids, real, heads=("mlm", "rts"))
-        ours_mlm = mlm_loss(out, labels, rows, cols)
-        ours_rts = rts_loss(out, flags, rows, cols)
+        ours_mlm = loss(params, TINY, ids, real, {"mlm": (labels, rows, cols)})
+        ours_rts = loss(params, TINY, ids, real, {"rts": (flags, rows, cols)})
         assert abs(ours_mlm - ref_mlm_loss(out.mlm_logits, labels, rows, cols)) < 1e-10
         assert abs(ours_rts - ref_rts_loss(out.rts_logits, flags, rows, cols)) < 1e-10
 
@@ -200,16 +193,9 @@ class TestGatheredHead:
         gathered = forward(params, SMALL, ids, real, positions=(rows, cols))
         assert gathered.mlm_logits.shape == (rows.size, SMALL.vocab_size)
         assert np.abs(gathered.mlm_logits - dense.mlm_logits[rows, cols]).max() < 1e-12
-        dense_loss = mlm_loss(dense, labels, rows, cols)
-        assert abs(mlm_loss(gathered, labels, rows, cols) - dense_loss) < 1e-12
-
-    def test_loss_at_other_positions_rejected(self):
-        params = init_params(SMALL)
-        ids, real = random_batch(SMALL, 9)
-        rows, cols, labels, _ = loss_targets(SMALL, ids)
-        out = forward(params, SMALL, ids, real, positions=(rows, cols))
-        with pytest.raises(ValueError, match="positions"):
-            mlm_loss(out, labels[:-1], rows[:-1], cols[:-1])
+        dense_loss, _ = mlm_loss_grad(dense.mlm_logits[rows, cols], labels)
+        ours = loss(params, SMALL, ids, real, {"mlm": (labels, rows, cols)})
+        assert abs(ours - dense_loss) < 1e-12
 
     def test_forward_only_keeps_no_layer_activations(self):
         params = init_params(SMALL)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from masksched.data import CLS_ID, SEP_ID
-from masksched.model import ModelConfig, backward, forward, init_params, param_shapes
+from masksched.model import ModelConfig, backward, forward, init_params, loss, param_shapes
 
 from oracles import ref_finite_diff, ref_forward_tiny
 
@@ -95,15 +95,11 @@ class TestRefFiniteDiff:
         params, ids, real, targets = self._case()
         _, grads = backward(params, TINY, ids, real, targets)
 
-        def loss(p):
-            from masksched.model import mlm_loss
-
-            out = forward(p, TINY, ids, real)
-            labels, rows, cols = targets["mlm"]
-            return mlm_loss(out, labels, rows, cols)
+        def loss_at(p):
+            return loss(p, TINY, ids, real, targets)
 
         coords = [("tok_emb", (5, 2)), ("layer0.attn.wq", (1, 3)), ("mlm_head.b", (4,))]
-        numeric = ref_finite_diff(loss, params, coords, h=1e-4)
+        numeric = ref_finite_diff(loss_at, params, coords, h=1e-4)
         for (name, idx), fd in zip(coords, numeric):
             analytic = grads[name][idx]
             assert abs(analytic - fd) < 1e-5 * max(1.0, abs(analytic))
@@ -113,12 +109,8 @@ class TestRefFiniteDiff:
         _, grads = backward(params, TINY, ids, real, targets)
         grads["mlm_head.b"][3] += 1e-2  # corrupt one analytic entry
 
-        def loss(p):
-            from masksched.model import mlm_loss
+        def loss_at(p):
+            return loss(p, TINY, ids, real, targets)
 
-            out = forward(p, TINY, ids, real)
-            labels, rows, cols = targets["mlm"]
-            return mlm_loss(out, labels, rows, cols)
-
-        (fd,) = ref_finite_diff(loss, params, [("mlm_head.b", (3,))], h=1e-4)
+        (fd,) = ref_finite_diff(loss_at, params, [("mlm_head.b", (3,))], h=1e-4)
         assert abs(grads["mlm_head.b"][3] - fd) > 1e-3

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,16 @@ class TestOneSidedT:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             one_sided_t((1.0,), (2.0, 3.0))
+
+    def test_nearly_identical_samples_need_no_warning(self):
+        # Why welch_statistic is kept rather than replaced by scipy's
+        # ttest_ind(equal_var=False, alternative="less"): on this pair scipy
+        # 1.17 warns of catastrophic cancellation in its moment calculation,
+        # and this suite turns warnings into errors.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = one_sided_t((1.0, 1.0 + 1e-15), (1.0, 1.0))
+        assert 0.0 < p < 1.0
 
     @settings(max_examples=50)
     @given(

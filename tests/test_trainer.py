@@ -79,6 +79,23 @@ class TestConfigValidation:
             config(**{field: value})
 
     @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"peak_lr": -1e-3, "final_lr": -2e-3}, "peak_lr must be finite and > 0"),
+            ({"peak_lr": math.nan}, "peak_lr must be finite and > 0"),
+            ({"final_lr": -2e-3}, "final_lr must be finite and >= 0"),
+            ({"beta1": -0.5}, r"beta1 must be in \[0, 1\)"),
+            ({"beta2": 1.0}, r"beta2 must be in \[0, 1\)"),
+            ({"eps": -1.0}, "eps must be > 0"),
+            ({"weight_decay": -0.1}, "weight_decay must be >= 0"),
+        ],
+        ids=["negative-peak-lr", "nan-peak-lr", "final-lr", "beta1", "beta2", "eps", "weight-decay"],
+    )
+    def test_bad_optimizer_value_rejected(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            config(**change)
+
+    @pytest.mark.parametrize(
         "valid, change, message",
         [
             (MODEL, {"n_heads": 3}, "d_model must be divisible by n_heads"),
