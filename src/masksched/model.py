@@ -10,6 +10,19 @@ The MLM head projects only the positions a caller scores: ``forward`` takes
 without it every position is scored and the logits are (B, S, V).
 Pseudo-log-likelihood passes its positions to ``forward``.
 
+Which rows are computed: a batch is padded to its longest row, and a call
+that scores given positions (``loss``, ``backward``, ``forward`` with
+``positions``; so training, evaluation and PLL) runs every position-wise
+sublayer (layer norms, the Q/K/V and output projections, the feed-forward
+and the heads) on a packed (T, d) array of the T real rows alone. Nothing
+reads a pad row's result: padded keys get exactly zero attention and pad
+rows carry no loss, so their gradients are exact zeros and leaving them out
+changes only the order of float sums. Attention alone scatters Q, K and V
+back to (B, H, S, dh) and gathers its context back to the T rows. A scored
+position on padding raises ``ValueError``. ``forward`` without
+``positions`` scores every position, padding included, so it encodes all
+B·S rows, and there the gathers and scatters are plain reshapes.
+
 ``loss(params, config, ids, real_mask, targets)`` is the one loss entry
 point: ``targets`` maps each head to its (labels, rows, cols), the MLM head
 scores just those rows and cols, and the head losses are summed.
@@ -35,7 +48,7 @@ from typing import Iterable
 import numpy as np
 from scipy.special import erf
 
-from .data import CLS_ID, N_SPECIALS, SEP_ID
+from .data import CLS_ID, N_SPECIALS, PAD_ID, SEP_ID
 
 LN_EPS = 1e-12
 INIT_STD = 0.02
@@ -213,14 +226,51 @@ def _gelu_grad(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return phi + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    b, length, d = x.shape
-    return x.reshape(b, length, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+def _gather(x: np.ndarray, sel: np.ndarray | None) -> np.ndarray:
+    """(B, S, ...) -> (T, ...): the rows ``sel`` of the flattened batch, or
+    all B·S rows, by a reshape, when ``sel`` is None."""
+    flat = x.reshape(-1, *x.shape[2:])
+    return flat if sel is None else flat[sel]
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    b, h, length, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, length, h * dh)
+def _scatter(x: np.ndarray, sel: np.ndarray | None, batch: int, length: int, fill=0.0):
+    """(T, ...) -> (B, S, ...), the inverse of ``_gather``; the rows outside
+    ``sel`` hold ``fill``."""
+    if sel is not None:
+        full = np.full((batch * length, *x.shape[1:]), fill)
+        full[sel] = x
+        x = full
+    return x.reshape(batch, length, *x.shape[1:])
+
+
+def _split_heads(x: np.ndarray, sel, batch: int, length: int, n_heads: int) -> np.ndarray:
+    """Rows (T, d) -> heads (B, H, S, dh), zero at the rows outside ``sel``."""
+    full = _scatter(x, sel, batch, length)
+    return full.reshape(batch, length, n_heads, -1).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x: np.ndarray, sel) -> np.ndarray:
+    """Heads (B, H, S, dh) -> rows (T, d), the rows ``sel`` only."""
+    _, h, length, dh = x.shape
+    x = x.transpose(0, 2, 1, 3)
+    if sel is not None:
+        x = x[np.divmod(sel, length)]
+    return x.reshape(-1, h * dh)
+
+
+def _row_ids(ids: np.ndarray, sel) -> tuple[np.ndarray, np.ndarray]:
+    """The token id and the position of each row ``sel`` of an id batch."""
+    return _gather(ids, sel), _gather(np.broadcast_to(np.arange(ids.shape[1]), ids.shape), sel)
+
+
+def _flat_positions(positions, real_mask: np.ndarray) -> np.ndarray:
+    """Flat row-major indices of (rows, cols) ``positions``; ``ValueError``
+    if one lies outside the batch or on padding."""
+    rows, cols = (np.asarray(x, dtype=np.int64) for x in positions)
+    flat = np.ravel_multi_index((rows, cols), real_mask.shape)
+    if not real_mask.reshape(-1)[flat].all():
+        raise ValueError("a scored position is padding")
+    return flat
 
 
 def forward(
@@ -234,42 +284,59 @@ def forward(
     """Encode a padded id batch; padded key positions are excluded from attention.
 
     ``positions`` = (rows, cols) restricts the MLM head to those positions:
-    ``mlm_logits[i]`` then scores position (rows[i], cols[i]). Without it the
-    head scores every position and ``mlm_logits`` is (B, S, V).
+    ``mlm_logits[i]`` then scores position (rows[i], cols[i]). Only the real
+    rows are then encoded, so a position on padding raises ``ValueError`` and
+    the (B, S) ``rts_logits`` are NaN at padding. Without ``positions`` every
+    position, padding included, is encoded and scored, and ``mlm_logits`` is
+    (B, S, V).
     """
-    return _forward(params, config, ids, real_mask, tuple(heads), positions, keep_activations=False)
+    real_only = positions is not None
+    return _forward(params, config, ids, real_mask, tuple(heads), positions, False, real_only)
 
 
-def _forward(params, config, ids, real_mask, heads, positions, keep_activations) -> ForwardOutput:
-    """``forward``; with ``keep_activations`` the cache also holds what
+def _forward(
+    params, config, ids, real_mask, heads, positions, keep_activations, real_only
+) -> ForwardOutput:
+    """``forward``; with ``real_only`` the position-wise sublayers run on the
+    real rows alone, and with ``keep_activations`` the cache also holds what
     ``_backward_from_heads`` needs from every layer."""
     ids = np.asarray(ids, dtype=np.int64)
     real_mask = np.asarray(real_mask, dtype=bool)
     batch, length = ids.shape
-    if positions is not None:
-        positions = tuple(np.asarray(x, dtype=np.int64) for x in positions)
     if length > config.max_seq_len:
         raise ValueError(f"sequence length {length} exceeds max_seq_len {config.max_seq_len}")
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ValueError("token id out of range")
+    # the flat rows every position-wise sublayer runs on; None means all B·S
+    sel = np.flatnonzero(real_mask) if real_only and not real_mask.all() else None
+    head_rows = None
+    if positions is not None:
+        head_rows = _flat_positions(positions, real_mask)
+        if sel is not None:
+            head_rows = np.searchsorted(sel, head_rows)
 
-    h = params["tok_emb"][ids] + params["pos_emb"][:length]
+    tok_ids, pos_ids = _row_ids(ids, sel)
+    h = params["tok_emb"][tok_ids] + params["pos_emb"][pos_ids]
     layers: list[dict] = []
-    dh_head = config.d_model // config.n_heads
-    inv_sqrt = 1.0 / math.sqrt(dh_head)
+    n_heads = config.n_heads
+    inv_sqrt = 1.0 / math.sqrt(config.d_model // n_heads)
+    key_mask = real_mask[:, None, None, :]
 
     for i in range(config.n_layers):
         p = f"layer{i}."
         a, ln1 = _layernorm_forward(h, params[p + "ln1.scale"], params[p + "ln1.shift"])
-        q = _split_heads(a @ params[p + "attn.wq"] + params[p + "attn.bq"], config.n_heads)
-        k = _split_heads(a @ params[p + "attn.wk"] + params[p + "attn.bk"], config.n_heads)
-        v = _split_heads(a @ params[p + "attn.wv"] + params[p + "attn.bv"], config.n_heads)
+        q, k, v = (
+            _split_heads(
+                a @ params[p + "attn.w" + x] + params[p + "attn.b" + x], sel, batch, length, n_heads
+            )
+            for x in "qkv"
+        )
         scores = (q @ k.transpose(0, 1, 3, 2)) * inv_sqrt
-        scores = np.where(real_mask[:, None, None, :], scores, -np.inf)
+        scores = np.where(key_mask, scores, -np.inf)
         scores_max = scores.max(axis=-1, keepdims=True)
         exps = np.exp(scores - scores_max)
         probs = exps / exps.sum(axis=-1, keepdims=True)
-        ctx = _merge_heads(probs @ v)
+        ctx = _merge_heads(probs @ v, sel)
         h = h + (ctx @ params[p + "attn.wo"] + params[p + "attn.bo"])
 
         b_, ln2 = _layernorm_forward(h, params[p + "ln2.scale"], params[p + "ln2.shift"])
@@ -284,20 +351,18 @@ def _forward(params, config, ids, real_mask, heads, positions, keep_activations)
     hfin, final_ln = _layernorm_forward(h, params["final_ln.scale"], params["final_ln.shift"])
     cache = {"hfin": hfin}
     if keep_activations:
-        cache.update(layers=layers, final_ln=final_ln)
+        cache.update(layers=layers, final_ln=final_ln, sel=sel, head_rows=head_rows)
 
-    mlm_logits = None
+    mlm_logits = rts_logits = None
     if "mlm" in heads:
-        mlm_logits = _head_input(hfin, positions) @ params["mlm_head.w"] + params["mlm_head.b"]
-        if positions is None:
-            mlm_logits = mlm_logits.reshape(batch, length, config.vocab_size)
-    rts_logits = hfin @ params["rts_head.w"] + params["rts_head.b"][0] if "rts" in heads else None
+        head_in = hfin if head_rows is None else hfin[head_rows]
+        mlm_logits = head_in @ params["mlm_head.w"] + params["mlm_head.b"]
+        if head_rows is None:
+            mlm_logits = _scatter(mlm_logits, sel, batch, length, fill=np.nan)
+    if "rts" in heads:
+        rts = hfin @ params["rts_head.w"] + params["rts_head.b"][0]
+        rts_logits = _scatter(rts, sel, batch, length, fill=np.nan)
     return ForwardOutput(mlm_logits, rts_logits, cache)
-
-
-def _head_input(hfin: np.ndarray, positions) -> np.ndarray:
-    """The final hidden states the MLM head projects, one row per position."""
-    return hfin.reshape(-1, hfin.shape[-1]) if positions is None else hfin[positions]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -305,31 +370,44 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def mlm_loss_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+def mlm_loss_grad(
+    logits: np.ndarray, labels: np.ndarray, with_grad: bool = True
+) -> tuple[float, np.ndarray | None]:
     """Mean negative log-likelihood of the labels under (n, V) logits, row i
-    labelled ``labels[i]``, and its gradient with respect to the logits."""
+    labelled ``labels[i]``, and its gradient with respect to the logits
+    (None without ``with_grad``)."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ValueError("loss undefined: empty loss set")
-    logp = log_softmax(logits)
     n = labels.size
-    value = -logp[np.arange(n), labels].mean()
-    dlogits = np.exp(logp)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exps = np.exp(shifted)
+    sums = exps.sum(axis=-1, keepdims=True)
+    value = float((np.log(sums[:, 0]) - shifted[np.arange(n), labels]).mean())
+    if not with_grad:
+        return value, None
+    dlogits = exps
+    dlogits /= sums
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
-    return float(value), dlogits
+    return value, dlogits
 
 
-def rts_loss_grad(rts_logits, flags, loss_rows, loss_cols) -> tuple[float, np.ndarray]:
+def rts_loss_grad(
+    rts_logits, flags, loss_rows, loss_cols, with_grad: bool = True
+) -> tuple[float, np.ndarray | None]:
     """Mean binary cross-entropy of the substitution flags at the loss
-    positions of (B, S) logits, and its gradient with respect to them."""
+    positions of (B, S) logits, and its gradient with respect to them (None
+    without ``with_grad``)."""
     flags = np.asarray(flags, dtype=np.float64)
     if flags.size == 0:
         raise ValueError("loss undefined: no labeled positions")
     z = rts_logits[loss_rows, loss_cols]
     # softplus(z) - y*z and sigmoid, both computed overflow-free
-    value = float((np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - flags * z).mean())
     exp_neg = np.exp(-np.abs(z))
+    value = float((np.maximum(z, 0.0) + np.log1p(exp_neg) - flags * z).mean())
+    if not with_grad:
+        return value, None
     sigma = np.where(z >= 0, 1.0 / (1.0 + exp_neg), exp_neg / (1.0 + exp_neg))
     dz = (sigma - flags) / flags.size
     dlogits = np.zeros_like(rts_logits)
@@ -348,7 +426,8 @@ def loss(
 
     ``targets`` maps head name ("mlm" and/or "rts") to a
     (labels, loss_rows, loss_cols) triple; when both heads are given the
-    losses are summed. The MLM head scores only its loss positions.
+    losses are summed. Only the real rows are encoded and the MLM head scores
+    only its loss positions; a loss position on padding raises ``ValueError``.
     """
     return _head_losses(params, config, ids, real_mask, targets, keep_activations=False)[0]
 
@@ -364,41 +443,50 @@ def backward(
     total, out, d_mlm, d_rts = _head_losses(
         params, config, ids, real_mask, targets, keep_activations=True
     )
-    grads = _backward_from_heads(params, config, ids, out, targets, d_mlm, d_rts)
+    grads = _backward_from_heads(params, config, ids, out, d_mlm, d_rts)
     return total, grads
 
 
 def _head_losses(params, config, ids, real_mask, targets, keep_activations):
-    """The forward pass for ``targets``, the summed head losses, and each
-    head's gradient with respect to its logits."""
+    """The real-rows forward pass for ``targets``, the summed head losses,
+    and, with ``keep_activations``, each head's gradient with respect to its
+    logits."""
+    real_mask = np.asarray(real_mask, dtype=bool)
+    if "rts" in targets:
+        _flat_positions(targets["rts"][1:], real_mask)
     positions = targets["mlm"][1:] if "mlm" in targets else None
-    out = _forward(params, config, ids, real_mask, tuple(targets), positions, keep_activations)
+    out = _forward(
+        params, config, ids, real_mask, tuple(targets), positions, keep_activations, real_only=True
+    )
     total = 0.0
     d_mlm = d_rts = None
     if "mlm" in targets:
-        head_loss, d_mlm = mlm_loss_grad(out.mlm_logits, targets["mlm"][0])
+        head_loss, d_mlm = mlm_loss_grad(out.mlm_logits, targets["mlm"][0], keep_activations)
         total += head_loss
     if "rts" in targets:
         flags, rows, cols = targets["rts"]
-        head_loss, d_rts = rts_loss_grad(out.rts_logits, flags, rows, cols)
+        head_loss, d_rts = rts_loss_grad(out.rts_logits, flags, rows, cols, keep_activations)
         total += head_loss
     return total, out, d_mlm, d_rts
 
 
-def _backward_from_heads(params, config, ids, out, targets, d_mlm, d_rts) -> Params:
+def _backward_from_heads(params, config, ids, out, d_mlm, d_rts) -> Params:
     _, (grads,) = tensor_arena({name: tensor.shape for name, tensor in params.items()})
     cache = out.cache
-    hfin = cache["hfin"]
+    hfin, sel = cache["hfin"], cache["sel"]
+    ids = np.asarray(ids, dtype=np.int64)
+    batch, length = ids.shape
     d_hfin = np.zeros_like(hfin)
     if d_mlm is not None:
-        positions = targets["mlm"][1:]
-        grads["mlm_head.w"] += _head_input(hfin, positions).T @ d_mlm
+        head_rows = cache["head_rows"]
+        grads["mlm_head.w"] += hfin[head_rows].T @ d_mlm
         grads["mlm_head.b"] += d_mlm.sum(axis=0)
-        np.add.at(d_hfin, positions, d_mlm @ params["mlm_head.w"].T)
+        np.add.at(d_hfin, head_rows, d_mlm @ params["mlm_head.w"].T)
     if d_rts is not None:
-        grads["rts_head.w"] += (hfin * d_rts[..., None]).sum(axis=(0, 1))
-        grads["rts_head.b"] += d_rts.sum()
-        d_hfin += d_rts[..., None] * params["rts_head.w"]
+        dz = _gather(d_rts, sel)
+        grads["rts_head.w"] += hfin.T @ dz
+        grads["rts_head.b"] += dz.sum()
+        d_hfin += dz[:, None] * params["rts_head.w"]
 
     dh, dscale, dshift = _layernorm_backward(d_hfin, cache["final_ln"], params["final_ln.scale"])
     grads["final_ln.scale"] += dscale
@@ -413,12 +501,11 @@ def _backward_from_heads(params, config, ids, out, targets, d_mlm, d_rts) -> Par
         # feed-forward sublayer: h_out = h_mid + W2 gelu(W1 LN2(h_mid) + b1) + b2
         df = dh
         dg = df @ params[p + "ff.w2"].T
-        g = lc["u"] * lc["phi"]
-        grads[p + "ff.w2"] += g.reshape(-1, config.d_ff).T @ df.reshape(-1, config.d_model)
-        grads[p + "ff.b2"] += df.sum(axis=(0, 1))
+        grads[p + "ff.w2"] += (lc["u"] * lc["phi"]).T @ df
+        grads[p + "ff.b2"] += df.sum(axis=0)
         du = dg * _gelu_grad(lc["u"], lc["phi"])
-        grads[p + "ff.w1"] += lc["b_"].reshape(-1, config.d_model).T @ du.reshape(-1, config.d_ff)
-        grads[p + "ff.b1"] += du.sum(axis=(0, 1))
+        grads[p + "ff.w1"] += lc["b_"].T @ du
+        grads[p + "ff.b1"] += du.sum(axis=0)
         db_ = du @ params[p + "ff.w1"].T
         dx, dscale, dshift = _layernorm_backward(db_, lc["ln2"], params[p + "ln2.scale"])
         grads[p + "ln2.scale"] += dscale
@@ -428,11 +515,9 @@ def _backward_from_heads(params, config, ids, out, targets, d_mlm, d_rts) -> Par
         # attention sublayer: h_mid = h_in + O(attn(LN1(h_in)))
         dattn = dh
         dctx = dattn @ params[p + "attn.wo"].T
-        grads[p + "attn.wo"] += (
-            lc["ctx"].reshape(-1, config.d_model).T @ dattn.reshape(-1, config.d_model)
-        )
-        grads[p + "attn.bo"] += dattn.sum(axis=(0, 1))
-        dctx_h = _split_heads(dctx, n_heads)
+        grads[p + "attn.wo"] += lc["ctx"].T @ dattn
+        grads[p + "attn.bo"] += dattn.sum(axis=0)
+        dctx_h = _split_heads(dctx, sel, batch, length, n_heads)
         dprobs = dctx_h @ lc["v"].transpose(0, 1, 3, 2)
         dv = lc["probs"].transpose(0, 1, 3, 2) @ dctx_h
         probs = lc["probs"]
@@ -440,24 +525,19 @@ def _backward_from_heads(params, config, ids, out, targets, d_mlm, d_rts) -> Par
         dq = (dscores @ lc["k"]) * inv_sqrt
         dk = (dscores.transpose(0, 1, 3, 2) @ lc["q"]) * inv_sqrt
         da = np.zeros_like(lc["a"])
-        a_flat = lc["a"].reshape(-1, config.d_model)
-        for dmat, wname, bname in (
-            (dq, "attn.wq", "attn.bq"),
-            (dk, "attn.wk", "attn.bk"),
-            (dv, "attn.wv", "attn.bv"),
-        ):
-            dmerged = _merge_heads(dmat)
-            grads[p + wname] += a_flat.T @ dmerged.reshape(-1, config.d_model)
-            grads[p + bname] += dmerged.sum(axis=(0, 1))
-            da += dmerged @ params[p + wname].T
+        for dmat, x in ((dq, "q"), (dk, "k"), (dv, "v")):
+            dmerged = _merge_heads(dmat, sel)
+            grads[p + "attn.w" + x] += lc["a"].T @ dmerged
+            grads[p + "attn.b" + x] += dmerged.sum(axis=0)
+            da += dmerged @ params[p + "attn.w" + x].T
         dx, dscale, dshift = _layernorm_backward(da, lc["ln1"], params[p + "ln1.scale"])
         grads[p + "ln1.scale"] += dscale
         grads[p + "ln1.shift"] += dshift
         dh = dh + dx
 
-    ids = np.asarray(ids, dtype=np.int64)
-    grads["pos_emb"][: ids.shape[1]] += dh.sum(axis=0)
-    np.add.at(grads["tok_emb"], ids.reshape(-1), dh.reshape(-1, config.d_model))
+    tok_ids, pos_ids = _row_ids(ids, sel)
+    np.add.at(grads["pos_emb"], pos_ids, dh)
+    np.add.at(grads["tok_emb"], tok_ids, dh)
     return grads
 
 
@@ -484,16 +564,24 @@ class GradCheckReport:
 
 
 def _gradcheck_case(config: ModelConfig, seed: int):
-    """A small random batch with both heads labeled, for gradient checking."""
+    """A small random batch with both heads labeled, for gradient checking.
+
+    The last row ends up to two positions early, so the check covers the
+    padding that the real-rows path leaves out.
+    """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 909)))
     batch, length = 2, min(config.max_seq_len, 6)
     ids = rng.integers(N_SPECIALS, config.vocab_size, size=(batch, length))
-    ids[:, 0] = CLS_ID
-    ids[:, -1] = SEP_ID
     real = np.ones((batch, length), dtype=bool)
-    inner = np.arange(1, length - 1)
-    rows = np.repeat(np.arange(batch), inner.size)
-    cols = np.tile(inner, batch)
+    real[-1, length - max(0, min(2, length - 3)) :] = False
+    ends = real.sum(axis=1) - 1
+    ids[~real] = PAD_ID
+    ids[:, 0] = CLS_ID
+    ids[np.arange(batch), ends] = SEP_ID
+    inner = real.copy()
+    inner[:, 0] = False
+    inner[np.arange(batch), ends] = False
+    rows, cols = np.nonzero(inner)
     labels = rng.integers(N_SPECIALS, config.vocab_size, size=rows.size)
     flags = rng.integers(0, 2, size=rows.size)
     targets = {"mlm": (labels, rows, cols), "rts": (flags, rows, cols)}

@@ -273,12 +273,17 @@ def adamw_step(
 
 
 def clip_gradients(grads: Params, max_norm: float) -> float:
-    """Scale gradients to a global L2 norm cap; returns the pre-clip norm."""
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    """Scale gradients to a global L2 norm cap; returns the pre-clip norm.
+
+    ``grads`` must be a ``model.tensor_arena`` dict, as ``model.backward``
+    returns; the norm is one dot product over its buffer.
+    """
+    g = model.arena_buffer(grads)
+    if g is None:
+        raise ValueError("grads are not a tensor arena")
+    total = math.sqrt(float(g @ g))
     if total > max_norm and total > 0:
-        factor = max_norm / total
-        for g in grads.values():
-            g *= factor
+        g *= max_norm / total
     return total
 
 

@@ -6,6 +6,7 @@ import pytest
 from masksched.data import CLS_ID, N_SPECIALS, PAD_ID, SEP_ID
 from masksched.model import (
     ModelConfig,
+    _gradcheck_case,
     backward,
     forward,
     grad_check,
@@ -241,6 +242,18 @@ class TestBackward:
         for name in g1:
             np.testing.assert_allclose(g2[name], g1[name] + gr[name], atol=1e-12)
 
+    def test_loss_equals_backward_loss_bitwise(self):
+        params = init_params(SMALL)
+        ids, real = random_batch(SMALL, 11, batch=3, length=7, pad_last=2)
+        rows, cols, labels, flags = loss_targets(SMALL, ids)
+        for targets in (
+            {"mlm": (labels, rows, cols)},
+            {"rts": (flags, rows, cols)},
+            {"mlm": (labels, rows, cols), "rts": (flags, rows, cols)},
+        ):
+            value = loss(params, SMALL, ids, real, targets)
+            assert value == backward(params, SMALL, ids, real, targets)[0]
+
     def test_gradcheck_passes_on_tiny_config(self):
         report = grad_check(SMALL, seed=0, n_coords=120, h=1e-4, tol=1e-5)
         assert report.passed, f"worst={report.worst_rel_err:.3e} in {report.worst_name}"
@@ -253,3 +266,52 @@ class TestBackward:
         report = grad_check(TINY, seed=0, n_coords=0)
         assert report.passed
         assert any("vacuous" in w for w in report.warnings)
+
+
+class TestRealRows:
+    """Calls that score given positions encode the real rows alone."""
+
+    def test_appended_padding_changes_no_loss_or_gradient(self):
+        params = init_params(SMALL)
+        ids, real = random_batch(SMALL, 12, batch=3, length=5)
+        ids[1, 3:] = [SEP_ID, PAD_ID]  # one ragged row, so padding sits mid-batch too
+        real[1, 4] = False
+        rows, cols, labels, flags = loss_targets(SMALL, ids)
+        targets = {"mlm": (labels, rows, cols), "rts": (flags, rows, cols)}
+        padded = np.concatenate([ids, np.full((3, 3), PAD_ID)], axis=1)
+        real_p = np.concatenate([real, np.zeros((3, 3), dtype=bool)], axis=1)
+        l1, g1 = backward(params, SMALL, ids, real, targets)
+        l2, g2 = backward(params, SMALL, padded, real_p, targets)
+        assert abs(l1 - l2) < 1e-12
+        assert abs(loss(params, SMALL, padded, real_p, targets) - l1) < 1e-12
+        for name in g1:
+            np.testing.assert_allclose(g2[name], g1[name], rtol=0, atol=1e-12)
+        assert (g2["pos_emb"][5:] == 0.0).all()
+
+    def test_scored_forward_keeps_real_rows_only(self):
+        params = init_params(SMALL)
+        ids, real = random_batch(SMALL, 13, batch=3, length=7, pad_last=2)
+        rows, cols, _, _ = loss_targets(SMALL, ids)
+        out = forward(params, SMALL, ids, real, positions=(rows, cols))
+        assert out.cache["hfin"].shape == (real.sum(), SMALL.d_model)
+        assert forward(params, SMALL, ids, real).cache["hfin"].shape == (ids.size, SMALL.d_model)
+
+    def test_position_on_padding_rejected(self):
+        params = init_params(SMALL)
+        ids, real = random_batch(SMALL, 14, batch=2, length=6, pad_last=1)
+        rows, cols = np.array([0, 1]), np.array([1, 5])
+        labels = np.array([N_SPECIALS, N_SPECIALS])
+        with pytest.raises(ValueError, match="padding"):
+            forward(params, SMALL, ids, real, positions=(rows, cols))
+        for head in ("mlm", "rts"):
+            targets = {head: (labels if head == "mlm" else np.array([0, 1]), rows, cols)}
+            with pytest.raises(ValueError, match="padding"):
+                loss(params, SMALL, ids, real, targets)
+            with pytest.raises(ValueError, match="padding"):
+                backward(params, SMALL, ids, real, targets)
+
+    def test_gradcheck_covers_padding(self):
+        _, real, targets = _gradcheck_case(SMALL, seed=1)
+        assert not real.all() and set(targets) == {"mlm", "rts"}
+        report = grad_check(SMALL, seed=1, n_coords=120, h=1e-4, tol=1e-5)
+        assert report.passed, f"worst={report.worst_rel_err:.3e} in {report.worst_name}"
