@@ -4,25 +4,25 @@
         --out BENCH.json
 
 Run from anywhere inside the repository. ``BASE_REV`` is checked out with
-``git worktree add`` into a temporary directory (under ``$TMPDIR``), and this
-checkout's ``perfbench/`` is copied over the base's, so both sides run the
-same benchmark code against their own ``src/``. Each pair runs
-``perfbench/run.py --trace 0`` once on each side, and successive pairs
-alternate which side goes first, so drift in the host's speed falls on both
-sides alike. ``--workload`` may be given more than once.
+``git worktree add`` into a temporary directory (under ``$TMPDIR``), and
+this checkout's ``perfbench/`` is copied over the base's, so both sides run
+the same benchmark code against their own ``src/``. Each pair runs
+``perfbench/run.py --trace 0`` once on each side for the ``run_seconds`` of
+``BENCHMARK.json``, and successive pairs alternate which side goes first, so
+drift in the host's speed falls on both sides alike. ``--workload`` may be
+given more than once.
 
 The JSON written to ``--out`` holds the machine record and, per workload:
 every run's metrics; per end-to-end metric of ``BENCHMARK.json``, each
 side's median and quartiles, the pairs each side won, the median of the
 paired change/base ratios and a verdict; and both sides' ``eval_loss_end``
-values and c06 artifact digests (seed 0 of toy-train), with whether they
-are equal. A verdict is ``gain`` when the change wins at least nine tenths
-of the pairs and its median beats the base's by more than the base's
-interquartile range, ``regression`` when its median is worse by more than
-the metric's bound, ``unresolved`` when either side's relative
-interquartile range exceeds the bound (unless every change run beats every
-base run), and ``within bound`` otherwise. The worktree is removed at the
-end.
+values and run-artifact digests, with whether they are equal. A verdict is
+``gain`` when the change wins at least nine tenths of the pairs and its
+median beats the base's by more than the base's interquartile range,
+``regression`` when its median is worse by more than the metric's bound,
+``unresolved`` when either side's relative interquartile range exceeds the
+bound (unless every change run beats every base run), and ``within bound``
+otherwise. The worktree is removed at the end.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _git(*args: str, cwd: str = ROOT) -> str:
+def _git(*args: str) -> str:
     return subprocess.run(
-        ["git", *args], cwd=cwd, check=True, capture_output=True, text=True
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
     ).stdout.strip()
 
 
@@ -153,11 +153,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", action="append", choices=workloads, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=float(spec["run_seconds"]))
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seed < 0 or args.seconds < 0:
-        parser.error("--pairs must be >= 1, --seed and --seconds >= 0")
+    if args.pairs < 1 or args.seed < 0:
+        parser.error("--pairs must be >= 1 and --seed >= 0")
+    args.seconds = float(spec["run_seconds"])
 
     base_commit = _git("rev-parse", "--verify", args.base_rev + "^{commit}")
     scratch = tempfile.mkdtemp(prefix="bench_ab-")
