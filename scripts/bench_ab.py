@@ -3,8 +3,8 @@
     python3 scripts/bench_ab.py BASE_REV --workload medium-train --pairs 10 --seed 1 \
         --out BENCH.json
 
-Run from anywhere inside the repository. ``BASE_REV`` is checked out with
-``git worktree add`` into a temporary directory (under ``$TMPDIR``), and
+Run from anywhere inside the repository. ``BASE_REV`` is unpacked with
+``git archive`` into a temporary directory (under ``$TMPDIR``), and
 this checkout's ``perfbench/`` is copied over the base's, so both sides run
 the same benchmark code against their own ``src/``. Each pair runs
 ``perfbench/run.py --trace 0`` once on each side for the ``run_seconds`` of
@@ -22,18 +22,23 @@ median beats the base's by more than the base's interquartile range,
 ``regression`` when its median is worse by more than the metric's bound,
 ``unresolved`` when either side's relative interquartile range exceeds the
 bound (unless every change run beats every base run), and ``within bound``
-otherwise. The worktree is removed at the end.
+otherwise. When any run of a workload, on either side, reports
+``"correct": false`` (its outputs failed perfbench's checks), every verdict
+of that workload is ``incorrect`` and the script exits with 1. The
+temporary directory is removed at the end.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 import numpy as np
@@ -45,6 +50,15 @@ def _git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def _unpack(commit: str, dest: str) -> None:
+    """The files of ``commit`` written into ``dest``."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", commit], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float, out_dir: str) -> dict:
@@ -117,7 +131,14 @@ def run_workload(trees: dict, workload: str, args, spec: dict, scratch: str) -> 
             value = entry[side]["metrics"].get("train_tokens_per_s", {}).get("value")
             print(f"{workload} pair {pair} {side}: train_tokens_per_s={value}", file=sys.stderr)
         runs.append(entry)
+    return summarize_runs(runs, spec)
+
+
+def summarize_runs(runs: list[dict], spec: dict) -> dict:
+    """One workload's report from its paired runs; every verdict is
+    ``incorrect`` when any run on either side failed perfbench's checks."""
     sides = ("base", "change")
+    correct = {s: all(r[s]["correct"] for r in runs) for s in sides}
     metrics = {}
     for m in spec["end_to_end"]:
         name = m["name"]
@@ -125,11 +146,13 @@ def run_workload(trees: dict, workload: str, args, spec: dict, scratch: str) -> 
             series = {s: [r[s]["metrics"][name]["value"] for r in runs] for s in sides}
             metrics[name] = summarize(series["base"], series["change"], m["better"], m["bound"])
             metrics[name]["unit"] = m["unit"]
+            if not all(correct.values()):
+                metrics[name]["verdict"] = "incorrect"
     evals = {s: [r[s]["metrics"].get("eval_loss_end", {}).get("value") for r in runs] for s in sides}
     digests = {s: [r[s].get("info", {}).get("artifacts_sha256") for r in runs] for s in sides}
     return {
         "machine": runs[0]["base"].get("machine"),
-        "correct": {s: all(r[s]["correct"] for r in runs) for s in sides},
+        "correct": correct,
         "metrics": metrics,
         "eval_loss_end": dict(evals, equal=evals["base"] == evals["change"]),
         "artifacts_sha256": dict(digests, equal=digests["base"] == digests["change"]),
@@ -162,8 +185,8 @@ def main(argv: list[str] | None = None) -> int:
     base_commit = _git("rev-parse", "--verify", args.base_rev + "^{commit}")
     scratch = tempfile.mkdtemp(prefix="bench_ab-")
     base_tree = os.path.join(scratch, "base")
-    _git("worktree", "add", "--detach", base_tree, base_commit)
     try:
+        _unpack(base_commit, base_tree)
         shutil.rmtree(os.path.join(base_tree, "perfbench"))
         shutil.copytree(
             os.path.join(ROOT, "perfbench"),
@@ -183,7 +206,6 @@ def main(argv: list[str] | None = None) -> int:
             "workloads": {w: run_workload(trees, w, args, spec, scratch) for w in args.workload},
         }
     finally:
-        _git("worktree", "remove", "--force", base_tree)
         shutil.rmtree(scratch, ignore_errors=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
@@ -195,6 +217,9 @@ def main(argv: list[str] | None = None) -> int:
                 f" ratio {m['paired_ratio_median']:.4f} wins {m['change_wins']}/{args.pairs}"
                 f" {m['verdict']}"
             )
+    if not all(all(res["correct"].values()) for res in report["workloads"].values()):
+        print("a run failed perfbench's output checks: verdicts are incorrect", file=sys.stderr)
+        return 1
     return 0
 
 

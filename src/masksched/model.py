@@ -5,32 +5,31 @@ Pre-layer-norm residual blocks, learned positional embeddings, an MLM head
 position). Everything runs in float64 so the finite-difference gradient
 checker and the test oracles can demand tight agreement.
 
-The MLM head projects only the positions a caller scores: ``forward`` takes
-``positions=(rows, cols)`` and returns (n, V) logits, one row per position;
-without it every position is scored and the logits are (B, S, V).
-Pseudo-log-likelihood passes its positions to ``forward``.
-
-Which rows are computed: a batch is padded to its longest row, and a call
-that scores given positions (``loss``, ``backward``, ``forward`` with
-``positions``; so training, evaluation and PLL) runs every position-wise
-sublayer (layer norms, the Q/K/V and output projections, the feed-forward
-and the heads) on a packed (T, d) array of the T real rows alone. Nothing
-reads a pad row's result: padded keys get exactly zero attention and pad
-rows carry no loss, so their gradients are exact zeros and leaving them out
+Which rows are encoded: a batch is padded to its longest row, and every call
+runs the position-wise sublayers (layer norms, the Q/K/V and output
+projections, the feed-forward and the heads) on a packed (T, d) array of
+the T real rows alone. Nothing reads a pad row's result: padded keys get
+exactly zero attention and pad rows carry no loss, so leaving them out
 changes only the order of float sums. Attention alone scatters Q, K and V
-back to (B, H, S, dh) and gathers its context back to the T rows. A scored
-position on padding raises ``ValueError``. ``forward`` without
-``positions`` scores every position, padding included, so it encodes all
-B·S rows, and there the gathers and scatters are plain reshapes.
+back to (B, H, S, dh) and gathers its context back to the T rows; when
+every row is real those are plain reshapes. Each layer runs in its own
+call, so a forward-only call keeps no layer's activations past the layer;
+they are kept only for ``backward``.
+
+The heads: ``HEADS`` maps each head name to its loss on the logits at n
+loss positions, ``mlm_loss_grad(logits, labels)`` on (n, V) logits and
+``rts_loss_grad(logits, flags)`` on (n,) logits. A head projects only the
+rows it scores, ``hfin[rows] @ W + b``. ``forward`` with
+``positions=(rows, cols)`` returns every requested head's logits at those
+positions, (n, V) and (n,); without it the logits are (B, S, V) and (B, S)
+and NaN at padding. A position on padding or an unknown head name raises
+``ValueError``.
 
 ``loss(params, config, ids, real_mask, targets)`` is the one loss entry
-point: ``targets`` maps each head to its (labels, rows, cols), the MLM head
-scores just those rows and cols, and the head losses are summed.
-``backward`` differentiates the same loss, and training, evaluation and
-the gradient check all go through the two. ``mlm_loss_grad`` and
-``rts_loss_grad`` are the per-head losses on raw logits. Per-layer
-activations are kept only for ``backward``; a forward-only call keeps just
-the final hidden state.
+point: ``targets`` maps each head to its (labels, rows, cols), each head
+scores just those positions, and the head losses are summed. ``backward``
+differentiates the same loss, and training, evaluation and the gradient
+check all go through the two.
 
 Parameters live in a plain dict keyed by name; ``param_shapes`` defines the
 canonical ordering used everywhere. ``init_params`` and the gradients of
@@ -84,8 +83,8 @@ class ModelConfig:
 class ForwardOutput:
     """Head outputs of one forward pass."""
 
-    mlm_logits: np.ndarray | None
-    rts_logits: np.ndarray | None
+    mlm_logits: np.ndarray | None = None
+    rts_logits: np.ndarray | None = None
     cache: dict = field(repr=False, default_factory=dict)
 
 
@@ -263,14 +262,27 @@ def _row_ids(ids: np.ndarray, sel) -> tuple[np.ndarray, np.ndarray]:
     return _gather(ids, sel), _gather(np.broadcast_to(np.arange(ids.shape[1]), ids.shape), sel)
 
 
-def _flat_positions(positions, real_mask: np.ndarray) -> np.ndarray:
-    """Flat row-major indices of (rows, cols) ``positions``; ``ValueError``
-    if one lies outside the batch or on padding."""
+def _head_rows(positions, real_mask: np.ndarray, sel) -> np.ndarray:
+    """The rows of the encoded (T, d) array at (rows, cols) ``positions``;
+    ``ValueError`` if one lies outside the batch or on padding."""
     rows, cols = (np.asarray(x, dtype=np.int64) for x in positions)
     flat = np.ravel_multi_index((rows, cols), real_mask.shape)
     if not real_mask.reshape(-1)[flat].all():
         raise ValueError("a scored position is padding")
-    return flat
+    return flat if sel is None else np.searchsorted(sel, flat)
+
+
+def _heads_in_order(names) -> list[str]:
+    """``names`` in ``HEADS`` order; ``ValueError`` for an unknown one."""
+    names = set(names)
+    if names - HEADS.keys():
+        raise ValueError(f"unknown heads {sorted(names - HEADS.keys())}; known: {list(HEADS)}")
+    return [head for head in HEADS if head in names]
+
+
+def _head_logits(params: Params, head: str, hfin: np.ndarray, rows) -> np.ndarray:
+    """``head``'s logits at the encoded rows ``rows``."""
+    return hfin[rows] @ params[head + "_head.w"] + params[head + "_head.b"]
 
 
 def forward(
@@ -281,88 +293,80 @@ def forward(
     heads: Iterable[str] = ("mlm",),
     positions: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ForwardOutput:
-    """Encode a padded id batch; padded key positions are excluded from attention.
+    """Encode the real rows of a padded id batch and project ``heads``.
 
-    ``positions`` = (rows, cols) restricts the MLM head to those positions:
-    ``mlm_logits[i]`` then scores position (rows[i], cols[i]). Only the real
-    rows are then encoded, so a position on padding raises ``ValueError`` and
-    the (B, S) ``rts_logits`` are NaN at padding. Without ``positions`` every
-    position, padding included, is encoded and scored, and ``mlm_logits`` is
-    (B, S, V).
+    ``positions`` = (rows, cols) restricts every head to those positions:
+    ``mlm_logits[i]`` (V,) and ``rts_logits[i]`` then score position
+    (rows[i], cols[i]), and a position on padding raises ``ValueError``.
+    Without ``positions`` the logits are (B, S, V) and (B, S), NaN at
+    padding.
     """
-    real_only = positions is not None
-    return _forward(params, config, ids, real_mask, tuple(heads), positions, False, real_only)
-
-
-def _forward(
-    params, config, ids, real_mask, heads, positions, keep_activations, real_only
-) -> ForwardOutput:
-    """``forward``; with ``real_only`` the position-wise sublayers run on the
-    real rows alone, and with ``keep_activations`` the cache also holds what
-    ``_backward_from_heads`` needs from every layer."""
-    ids = np.asarray(ids, dtype=np.int64)
+    heads = _heads_in_order(heads)
     real_mask = np.asarray(real_mask, dtype=bool)
-    batch, length = ids.shape
-    if length > config.max_seq_len:
-        raise ValueError(f"sequence length {length} exceeds max_seq_len {config.max_seq_len}")
+    sel, cache = _encode(params, config, ids, real_mask, keep_activations=False)
+    rows = slice(None) if positions is None else _head_rows(positions, real_mask, sel)
+    logits = {head: _head_logits(params, head, cache["hfin"], rows) for head in heads}
+    if positions is None:
+        logits = {h: _scatter(x, sel, *real_mask.shape, fill=np.nan) for h, x in logits.items()}
+    return ForwardOutput(**{head + "_logits": x for head, x in logits.items()}, cache=cache)
+
+
+def _encode(params, config, ids, real_mask, keep_activations):
+    """Run the encoder on the real rows of a padded id batch.
+
+    Returns ``sel``, the flat indices of the T real rows in the (B·S) batch
+    (None when every row is real), and the cache: the final hidden state
+    ``hfin`` (T, d) and, with ``keep_activations``, what
+    ``_backward_from_heads`` needs from every layer.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.shape[1] > config.max_seq_len:
+        raise ValueError(f"sequence length {ids.shape[1]} exceeds max_seq_len {config.max_seq_len}")
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ValueError("token id out of range")
-    # the flat rows every position-wise sublayer runs on; None means all B·S
-    sel = np.flatnonzero(real_mask) if real_only and not real_mask.all() else None
-    head_rows = None
-    if positions is not None:
-        head_rows = _flat_positions(positions, real_mask)
-        if sel is not None:
-            head_rows = np.searchsorted(sel, head_rows)
-
+    sel = None if real_mask.all() else np.flatnonzero(real_mask)
     tok_ids, pos_ids = _row_ids(ids, sel)
     h = params["tok_emb"][tok_ids] + params["pos_emb"][pos_ids]
-    layers: list[dict] = []
-    n_heads = config.n_heads
-    inv_sqrt = 1.0 / math.sqrt(config.d_model // n_heads)
-    key_mask = real_mask[:, None, None, :]
-
+    layers = []
     for i in range(config.n_layers):
-        p = f"layer{i}."
-        a, ln1 = _layernorm_forward(h, params[p + "ln1.scale"], params[p + "ln1.shift"])
-        q, k, v = (
-            _split_heads(
-                a @ params[p + "attn.w" + x] + params[p + "attn.b" + x], sel, batch, length, n_heads
-            )
-            for x in "qkv"
+        h, acts = _layer_forward(
+            params, f"layer{i}.", h, real_mask, sel, config.n_heads, keep_activations
         )
-        scores = (q @ k.transpose(0, 1, 3, 2)) * inv_sqrt
-        scores = np.where(key_mask, scores, -np.inf)
-        scores_max = scores.max(axis=-1, keepdims=True)
-        exps = np.exp(scores - scores_max)
-        probs = exps / exps.sum(axis=-1, keepdims=True)
-        ctx = _merge_heads(probs @ v, sel)
-        h = h + (ctx @ params[p + "attn.wo"] + params[p + "attn.bo"])
-
-        b_, ln2 = _layernorm_forward(h, params[p + "ln2.scale"], params[p + "ln2.shift"])
-        u = b_ @ params[p + "ff.w1"] + params[p + "ff.b1"]
-        phi = _normal_cdf(u)
-        h = h + ((u * phi) @ params[p + "ff.w2"] + params[p + "ff.b2"])
-        if keep_activations:
-            layers.append(
-                dict(ln1=ln1, a=a, q=q, k=k, v=v, probs=probs, ctx=ctx, ln2=ln2, b_=b_, u=u, phi=phi)
-            )
-
+        layers.append(acts)
     hfin, final_ln = _layernorm_forward(h, params["final_ln.scale"], params["final_ln.shift"])
     cache = {"hfin": hfin}
     if keep_activations:
-        cache.update(layers=layers, final_ln=final_ln, sel=sel, head_rows=head_rows)
+        cache.update(layers=layers, final_ln=final_ln)
+    return sel, cache
 
-    mlm_logits = rts_logits = None
-    if "mlm" in heads:
-        head_in = hfin if head_rows is None else hfin[head_rows]
-        mlm_logits = head_in @ params["mlm_head.w"] + params["mlm_head.b"]
-        if head_rows is None:
-            mlm_logits = _scatter(mlm_logits, sel, batch, length, fill=np.nan)
-    if "rts" in heads:
-        rts = hfin @ params["rts_head.w"] + params["rts_head.b"][0]
-        rts_logits = _scatter(rts, sel, batch, length, fill=np.nan)
-    return ForwardOutput(mlm_logits, rts_logits, cache)
+
+def _layer_forward(params, p, h, real_mask, sel, n_heads, keep_activations):
+    """Layer ``p`` on the rows ``h``: the new rows and, with
+    ``keep_activations``, the activations its backward pass reads (else
+    None). Everything else the layer makes is freed when it returns."""
+    batch, length = real_mask.shape
+    a, ln1 = _layernorm_forward(h, params[p + "ln1.scale"], params[p + "ln1.shift"])
+    q, k, v = (
+        _split_heads(
+            a @ params[p + "attn.w" + x] + params[p + "attn.b" + x], sel, batch, length, n_heads
+        )
+        for x in "qkv"
+    )
+    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(q.shape[-1]))
+    scores = np.where(real_mask[:, None, None, :], scores, -np.inf)
+    scores_max = scores.max(axis=-1, keepdims=True)
+    exps = np.exp(scores - scores_max)
+    probs = exps / exps.sum(axis=-1, keepdims=True)
+    ctx = _merge_heads(probs @ v, sel)
+    h = h + (ctx @ params[p + "attn.wo"] + params[p + "attn.bo"])
+
+    b_, ln2 = _layernorm_forward(h, params[p + "ln2.scale"], params[p + "ln2.shift"])
+    u = b_ @ params[p + "ff.w1"] + params[p + "ff.b1"]
+    phi = _normal_cdf(u)
+    h = h + ((u * phi) @ params[p + "ff.w2"] + params[p + "ff.b2"])
+    if not keep_activations:
+        return h, None
+    return h, dict(ln1=ln1, a=a, q=q, k=k, v=v, probs=probs, ctx=ctx, ln2=ln2, b_=b_, u=u, phi=phi)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -394,25 +398,26 @@ def mlm_loss_grad(
 
 
 def rts_loss_grad(
-    rts_logits, flags, loss_rows, loss_cols, with_grad: bool = True
+    logits: np.ndarray, flags: np.ndarray, with_grad: bool = True
 ) -> tuple[float, np.ndarray | None]:
-    """Mean binary cross-entropy of the substitution flags at the loss
-    positions of (B, S) logits, and its gradient with respect to them (None
-    without ``with_grad``)."""
+    """Mean binary cross-entropy of the substitution flags under (n,)
+    logits, logit i flagged ``flags[i]``, and its gradient with respect to
+    the logits (None without ``with_grad``)."""
     flags = np.asarray(flags, dtype=np.float64)
     if flags.size == 0:
         raise ValueError("loss undefined: no labeled positions")
-    z = rts_logits[loss_rows, loss_cols]
     # softplus(z) - y*z and sigmoid, both computed overflow-free
-    exp_neg = np.exp(-np.abs(z))
-    value = float((np.maximum(z, 0.0) + np.log1p(exp_neg) - flags * z).mean())
+    exp_neg = np.exp(-np.abs(logits))
+    value = float((np.maximum(logits, 0.0) + np.log1p(exp_neg) - flags * logits).mean())
     if not with_grad:
         return value, None
-    sigma = np.where(z >= 0, 1.0 / (1.0 + exp_neg), exp_neg / (1.0 + exp_neg))
-    dz = (sigma - flags) / flags.size
-    dlogits = np.zeros_like(rts_logits)
-    np.add.at(dlogits, (loss_rows, loss_cols), dz)
-    return value, dlogits
+    sigma = np.where(logits >= 0, 1.0 / (1.0 + exp_neg), exp_neg / (1.0 + exp_neg))
+    return value, (sigma - flags) / flags.size
+
+
+# head name -> its loss on the head's logits at the loss positions; the one
+# place that names the heads
+HEADS = {"mlm": mlm_loss_grad, "rts": rts_loss_grad}
 
 
 def loss(
@@ -424,10 +429,11 @@ def loss(
 ) -> float:
     """The loss ``backward`` differentiates, for the same ``targets``.
 
-    ``targets`` maps head name ("mlm" and/or "rts") to a
-    (labels, loss_rows, loss_cols) triple; when both heads are given the
-    losses are summed. Only the real rows are encoded and the MLM head scores
-    only its loss positions; a loss position on padding raises ``ValueError``.
+    ``targets`` maps one or more head names ("mlm", "rts") to a
+    (labels, loss_rows, loss_cols) triple, and the heads' losses are summed.
+    Only the real rows are encoded and each head scores only its loss
+    positions. A loss position on padding, an unknown head name and empty
+    ``targets`` raise ``ValueError``.
     """
     return _head_losses(params, config, ids, real_mask, targets, keep_activations=False)[0]
 
@@ -440,53 +446,45 @@ def backward(
     targets: dict,
 ) -> tuple[float, Params]:
     """``loss`` and its exact gradient with respect to every parameter."""
-    total, out, d_mlm, d_rts = _head_losses(
+    total, sel, cache, d_logits = _head_losses(
         params, config, ids, real_mask, targets, keep_activations=True
     )
-    grads = _backward_from_heads(params, config, ids, out, d_mlm, d_rts)
-    return total, grads
+    return total, _backward_from_heads(params, config, ids, sel, cache, d_logits)
 
 
 def _head_losses(params, config, ids, real_mask, targets, keep_activations):
-    """The real-rows forward pass for ``targets``, the summed head losses,
-    and, with ``keep_activations``, each head's gradient with respect to its
-    logits."""
+    """The encoder pass for ``targets`` and the summed head losses; with
+    ``keep_activations`` also each head's loss rows and the gradient with
+    respect to its logits there, as {head: (rows, d_logits)}."""
+    heads = _heads_in_order(targets)
+    if not heads:
+        raise ValueError("targets name no head")
     real_mask = np.asarray(real_mask, dtype=bool)
-    if "rts" in targets:
-        _flat_positions(targets["rts"][1:], real_mask)
-    positions = targets["mlm"][1:] if "mlm" in targets else None
-    out = _forward(
-        params, config, ids, real_mask, tuple(targets), positions, keep_activations, real_only=True
-    )
+    sel, cache = _encode(params, config, ids, real_mask, keep_activations)
     total = 0.0
-    d_mlm = d_rts = None
-    if "mlm" in targets:
-        head_loss, d_mlm = mlm_loss_grad(out.mlm_logits, targets["mlm"][0], keep_activations)
+    d_logits = {}
+    for head in heads:
+        labels, *positions = targets[head]
+        rows = _head_rows(positions, real_mask, sel)
+        logits = _head_logits(params, head, cache["hfin"], rows)
+        head_loss, grad = HEADS[head](logits, labels, keep_activations)
+        d_logits[head] = (rows, grad)
         total += head_loss
-    if "rts" in targets:
-        flags, rows, cols = targets["rts"]
-        head_loss, d_rts = rts_loss_grad(out.rts_logits, flags, rows, cols, keep_activations)
-        total += head_loss
-    return total, out, d_mlm, d_rts
+    return total, sel, cache, d_logits
 
 
-def _backward_from_heads(params, config, ids, out, d_mlm, d_rts) -> Params:
+def _backward_from_heads(params, config, ids, sel, cache, d_logits) -> Params:
     _, (grads,) = tensor_arena({name: tensor.shape for name, tensor in params.items()})
-    cache = out.cache
-    hfin, sel = cache["hfin"], cache["sel"]
+    hfin = cache["hfin"]
     ids = np.asarray(ids, dtype=np.int64)
     batch, length = ids.shape
     d_hfin = np.zeros_like(hfin)
-    if d_mlm is not None:
-        head_rows = cache["head_rows"]
-        grads["mlm_head.w"] += hfin[head_rows].T @ d_mlm
-        grads["mlm_head.b"] += d_mlm.sum(axis=0)
-        np.add.at(d_hfin, head_rows, d_mlm @ params["mlm_head.w"].T)
-    if d_rts is not None:
-        dz = _gather(d_rts, sel)
-        grads["rts_head.w"] += hfin.T @ dz
-        grads["rts_head.b"] += dz.sum()
-        d_hfin += dz[:, None] * params["rts_head.w"]
+    for head, (rows, d) in d_logits.items():
+        w = params[head + "_head.w"]
+        grads[head + "_head.w"] += hfin[rows].T @ d
+        grads[head + "_head.b"] += d.sum(axis=0)
+        # the RTS head's (d,) weight and (n,) logits act as one-column matrices
+        np.add.at(d_hfin, rows, d.reshape(rows.size, -1) @ w.reshape(w.shape[0], -1).T)
 
     dh, dscale, dshift = _layernorm_backward(d_hfin, cache["final_ln"], params["final_ln.scale"])
     grads["final_ln.scale"] += dscale

@@ -161,6 +161,28 @@ def test_pll_memory_stays_below_one_dense_logits_tensor():
     assert peaks[1] < 1.1 * peaks[0], peaks
 
 
+def test_forward_only_memory_does_not_grow_with_depth():
+    # each layer's temporaries are freed before the next layer runs, so the
+    # scoring peak is one layer's, however deep the encoder
+    length, vocab_size = 40, 2000
+    ids = np.random.default_rng(0).integers(N_SPECIALS, vocab_size, size=length)
+    ids[0], ids[-1] = CLS_ID, SEP_ID
+    peaks = []
+    for n_layers in (1, 4):
+        config = ModelConfig(
+            n_layers=n_layers, n_heads=2, d_model=16, d_ff=32,
+            vocab_size=vocab_size, max_seq_len=length, init_seed=0,
+        )
+        params = init_params(config)
+        tracemalloc.start()
+        try:
+            pll(params, config, ids)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.01 * peaks[0], peaks
+
+
 class TestMinimalPairs:
     def make_pairs(self):
         return [

@@ -91,8 +91,10 @@ class TestForward:
         ids = np.array([[CLS_ID, SEP_ID, PAD_ID, PAD_ID]])
         real = np.array([[True, True, False, False]])
         out = forward(params, SMALL, ids, real, heads=("mlm", "rts"))
-        assert np.isfinite(out.mlm_logits).all()
-        assert np.isfinite(out.rts_logits).all()
+        assert np.isfinite(out.mlm_logits[real]).all()
+        assert np.isfinite(out.rts_logits[real]).all()
+        assert np.isnan(out.mlm_logits[~real]).all()
+        assert np.isnan(out.rts_logits[~real]).all()
 
     def test_batch_order_permutes_outputs(self):
         params = init_params(SMALL)
@@ -129,8 +131,10 @@ class TestForward:
         ids, real = random_batch(TINY, 4, batch=2, length=6, pad_last=1)
         out = forward(params, TINY, ids, real, heads=("mlm", "rts"))
         ref_mlm, ref_rts = ref_forward_tiny(params, TINY, ids, real, heads=("mlm", "rts"))
-        assert np.abs(out.mlm_logits - ref_mlm).max() < 1e-10
-        assert np.abs(out.rts_logits - ref_rts).max() < 1e-10
+        assert np.abs(out.mlm_logits[real] - ref_mlm[real]).max() < 1e-10
+        assert np.abs(out.rts_logits[real] - ref_rts[real]).max() < 1e-10
+        assert np.isnan(out.mlm_logits[~real]).all()
+        assert np.isnan(out.rts_logits[~real]).all()
 
 
 class TestLosses:
@@ -165,14 +169,26 @@ class TestLosses:
         rows = np.array([0, 0, 1])
         cols = np.array([1, 2, 3])
         flags = np.array([0, 1, 1])
-        assert abs(rts_loss_grad(np.zeros((2, 5)), flags, rows, cols)[0] - math.log(2)) < 1e-12
+        assert abs(rts_loss_grad(np.zeros((2, 5))[rows, cols], flags)[0] - math.log(2)) < 1e-12
 
     def test_rts_perfect_separation(self):
         z = np.array([[60.0, -60.0]])
         rows = np.array([0, 0])
         cols = np.array([0, 1])
-        value, _ = rts_loss_grad(z, np.array([1, 0]), rows, cols)
+        value, _ = rts_loss_grad(z[rows, cols], np.array([1, 0]))
         assert value < 1e-12
+
+    def test_unknown_or_missing_head_rejected(self):
+        params = init_params(SMALL)
+        ids, real = random_batch(SMALL, 6)
+        rows, cols, labels, _ = loss_targets(SMALL, ids)
+        for targets in ({"MLM": (labels, rows, cols)}, {}):
+            with pytest.raises(ValueError, match="head"):
+                loss(params, SMALL, ids, real, targets)
+            with pytest.raises(ValueError, match="head"):
+                backward(params, SMALL, ids, real, targets)
+        with pytest.raises(ValueError, match="head"):
+            forward(params, SMALL, ids, real, heads=("mlm", "rts_"))
 
     def test_losses_match_reference(self):
         params = init_params(TINY)
@@ -294,7 +310,7 @@ class TestRealRows:
         rows, cols, _, _ = loss_targets(SMALL, ids)
         out = forward(params, SMALL, ids, real, positions=(rows, cols))
         assert out.cache["hfin"].shape == (real.sum(), SMALL.d_model)
-        assert forward(params, SMALL, ids, real).cache["hfin"].shape == (ids.size, SMALL.d_model)
+        assert forward(params, SMALL, ids, real).cache["hfin"].shape == (real.sum(), SMALL.d_model)
 
     def test_position_on_padding_rejected(self):
         params = init_params(SMALL)
