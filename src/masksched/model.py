@@ -352,11 +352,13 @@ def _layer_forward(params, p, h, real_mask, sel, n_heads, keep_activations):
         )
         for x in "qkv"
     )
-    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(q.shape[-1]))
-    scores = np.where(real_mask[:, None, None, :], scores, -np.inf)
-    scores_max = scores.max(axis=-1, keepdims=True)
-    exps = np.exp(scores - scores_max)
-    probs = exps / exps.sum(axis=-1, keepdims=True)
+    # softmax over the real keys, in place on one (B, H, S, S) array
+    probs = q @ k.transpose(0, 1, 3, 2)
+    probs *= 1.0 / math.sqrt(q.shape[-1])
+    np.copyto(probs, -np.inf, where=~real_mask[:, None, None, :])
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
     ctx = _merge_heads(probs @ v, sel)
     h = h + (ctx @ params[p + "attn.wo"] + params[p + "attn.bo"])
 
