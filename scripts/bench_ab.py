@@ -178,8 +178,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seed < 0:
-        parser.error("--pairs must be >= 1 and --seed >= 0")
+    # With fewer than ten pairs the host's drift alone moved a paired
+    # median by 10%, and a gain needs nine tenths of at least ten pairs.
+    if args.pairs < 10 or args.seed < 0:
+        parser.error("--pairs must be >= 10 and --seed >= 0")
     args.seconds = float(spec["run_seconds"])
 
     base_commit = _git("rev-parse", "--verify", args.base_rev + "^{commit}")

@@ -31,38 +31,27 @@ class ConfigError(ValueError):
     """Invalid run configuration (exit code 2)."""
 
 
-def _require_keys(section: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - set(section)
-    if missing:
-        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
-
-
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     corpus: str
     vocab_size: int
     model: dict
     train: dict
-    eval: dict
     out_dir: str
+    eval: dict = dataclasses.field(default_factory=dict)
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
 
 
-def _field_names(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}
-
-
-# The train section holds the corruption keys flat; the 80/10/10 fractions
-# are not configurable from a run config.
-_CORRUPTION_KEYS = {"objective", "subset_loss_fraction", "min_masked"}
-_MODEL_KEYS = _field_names(ModelConfig) - {"vocab_size"}
-_TRAIN_KEYS = _field_names(TrainConfig) - {"corruption", "eval"} | _CORRUPTION_KEYS
-_EVAL_KEYS = _field_names(EvalConfig)
+# The sections of a run config: the dataclasses whose fields each section
+# holds, less the fields it leaves out. The train section holds the
+# corruption fields flat, and the model's vocab_size is the run's.
+_SECTIONS = {
+    "model": ((ModelConfig,), {"vocab_size"}),
+    "train": ((TrainConfig, CorruptionConfig), {"corruption", "eval"}),
+    "eval": ((EvalConfig,), set()),
+}
 
 # The JSON types a run-config value may take, by its field's annotation; a
 # schedule is given by its canonical name, and a bool is never accepted.
@@ -75,10 +64,27 @@ _JSON_TYPES = {
 }
 
 
-def _check_types(section: dict, where: str, *classes) -> None:
-    types = {f.name: f.type for cls in classes for f in dataclasses.fields(cls)}
+def _fields(*classes, drop=()) -> dict[str, dataclasses.Field]:
+    return {f.name: f for cls in classes for f in dataclasses.fields(cls) if f.name not in drop}
+
+
+def _check_section(section: dict, where: str, *classes, drop=()) -> None:
+    """Check a section against the fields of ``classes``, less ``drop``: no
+    unknown key, every field that has no default given, every value of
+    its field's JSON type."""
+    fields = _fields(*classes, drop=drop)
+    unknown = set(section) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    missing = {
+        name
+        for name, f in fields.items()
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    } - set(section)
+    if missing:
+        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
     for key, value in section.items():
-        kind, _, optional = types[key].partition(" | ")
+        kind, _, optional = fields[key].type.partition(" | ")
         if value is None and optional == "None":
             continue
         accepted = _JSON_TYPES[kind]
@@ -90,30 +96,16 @@ def _check_types(section: dict, where: str, *classes) -> None:
 def parse_run_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"run config must be a JSON object, got {doc!r}")
-    run_keys = _field_names(RunConfig)
-    _require_keys(doc, run_keys, run_keys - {"eval"}, "run config")
-    _check_types(doc, "run config", RunConfig)
-    _require_keys(doc["model"], _MODEL_KEYS, {"n_layers", "n_heads", "d_model", "d_ff", "max_seq_len"}, "model section")
-    _require_keys(doc["train"], _TRAIN_KEYS, {"total_steps", "batch_size", "schedule"}, "train section")
-    eval_section = doc.get("eval", {})
-    _require_keys(eval_section, _EVAL_KEYS, set(), "eval section")
-    _check_types(doc["model"], "model section", ModelConfig)
-    _check_types(doc["train"], "train section", TrainConfig, CorruptionConfig)
-    _check_types(eval_section, "eval section", EvalConfig)
+    _check_section(doc, "run config", RunConfig)
+    for name, (classes, drop) in _SECTIONS.items():
+        _check_section(doc.get(name, {}), f"{name} section", *classes, drop=drop)
     if doc["vocab_size"] < 6:
         raise ConfigError("vocab_size must be an integer >= 6")
-    return RunConfig(
-        corpus=doc["corpus"],
-        vocab_size=doc["vocab_size"],
-        model=dict(doc["model"]),
-        train=dict(doc["train"]),
-        eval=dict(eval_section),
-        out_dir=doc["out_dir"],
-    )
+    return RunConfig(**{key: dict(value) if key in _SECTIONS else value for key, value in doc.items()})
 
 
-def build_configs(run: RunConfig, vocab_size: int) -> tuple[ModelConfig, TrainConfig]:
-    model_cfg = ModelConfig(vocab_size=vocab_size, **run.model)
+def build_configs(run: RunConfig) -> tuple[ModelConfig, TrainConfig]:
+    model_cfg = ModelConfig(vocab_size=run.vocab_size, **run.model)
     t = dict(run.train)
     total_steps = t.pop("total_steps")
     try:
@@ -124,7 +116,7 @@ def build_configs(run: RunConfig, vocab_size: int) -> tuple[ModelConfig, TrainCo
         train_cfg = TrainConfig(
             total_steps=total_steps,
             schedule=schedule,
-            corruption=CorruptionConfig(**{k: t.pop(k) for k in _CORRUPTION_KEYS if k in t}),
+            corruption=CorruptionConfig(**{k: t.pop(k) for k in _fields(CorruptionConfig) if k in t}),
             eval=EvalConfig(**run.eval),
             **t,
         )
@@ -137,6 +129,7 @@ def cmd_train(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         doc = json.load(fh)
     run = parse_run_config(doc)
+    model_cfg, train_cfg = build_configs(run)
     out_dir = run.out_dir
     config_path = os.path.join(out_dir, "config.json")
     if os.path.exists(config_path) and not (args.force or args.resume):
@@ -146,7 +139,7 @@ def cmd_train(args) -> int:
 
     lines = data.load_corpus(run.corpus)
     vocab = data.build_vocab(lines, run.vocab_size)
-    model_cfg, train_cfg = build_configs(run, vocab.size)
+    model_cfg = dataclasses.replace(model_cfg, vocab_size=vocab.size)
     dataset = data.encode_corpus(vocab, lines, model_cfg.max_seq_len)
 
     os.makedirs(out_dir, exist_ok=True)

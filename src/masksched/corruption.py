@@ -17,38 +17,37 @@ import numpy as np
 
 from .data import MASK_ID, N_SPECIALS, pad_batch
 
+# BERT's fixed split of the selected MLM positions: this share becomes
+# [MASK], the next share a uniform non-special id, and the rest stays.
+_MASK_FRAC = 0.8
+_RANDOM_FRAC = 0.1
+
 
 @dataclass(frozen=True)
 class CorruptionConfig:
     """How training examples are corrupted.
 
+    The MLM split of the selected positions is BERT's 80/10/10 and is not
+    configurable; the masking rate comes from the schedule.
     ``subset_loss_fraction`` enables the ablation where masking follows the
     schedule but the loss is restricted to a fixed fraction of the batch's
     maskable tokens (the trainer draws that subset for the whole batch).
-    ``min_masked = 1`` force-includes one maskable index when the Bernoulli
-    draw comes up empty, so the per-example loss is always defined.
-    An invalid config raises ``ValueError`` when it is built.
+    ``min_masked`` is 0 or 1: with 1, one maskable index is force-included
+    when the Bernoulli draw comes up empty, so the per-example loss is
+    always defined. An invalid config raises ``ValueError`` when it is built.
     """
 
     objective: str = "mlm"
-    replace_mask_frac: float = 0.8
-    replace_random_frac: float = 0.1
-    keep_frac: float = 0.1
     subset_loss_fraction: float | None = None
     min_masked: int = 1
 
     def __post_init__(self) -> None:
         if self.objective not in ("mlm", "rts"):
             raise ValueError(f"unknown objective {self.objective!r}")
-        total = math.fsum(
-            (self.replace_mask_frac, self.replace_random_frac, self.keep_frac)
-        )
-        if total != 1.0:
-            raise ValueError("replacement fractions must sum to 1.0 exactly")
         if self.subset_loss_fraction is not None and not (0 < self.subset_loss_fraction <= 1):
             raise ValueError("subset_loss_fraction must be in (0, 1]")
-        if self.min_masked < 0:
-            raise ValueError("min_masked must be >= 0")
+        if self.min_masked not in (0, 1):
+            raise ValueError(f"min_masked must be 0 or 1, got {self.min_masked!r}")
 
 
 @dataclass
@@ -107,11 +106,11 @@ def corrupt_batch(
 def _corrupt_row(ids, rate, vocab_size, rng, config) -> MaskOutcome | None:
     """Select each maskable position independently with probability ``rate``.
 
-    MLM: an empty draw with ``min_masked >= 1`` force-includes one uniformly
+    MLM: an empty draw with ``min_masked == 1`` force-includes one uniformly
     random maskable position (resampling the whole mask would bias the
-    realized rate further). Each selected position then becomes [MASK],
-    a uniform non-special id (which may equal the original, as in BERT) or
-    stays, per the config's fractions, drawn i.i.d. per position.
+    realized rate further). Each selected position then becomes [MASK]
+    (80%), a uniform non-special id (10%, which may equal the original, as
+    in BERT) or stays (10%), drawn i.i.d. per position.
 
     RTS: each selected position gets a uniform non-special id *different
     from the original*, so the 0/1 label is well defined, and every
@@ -130,11 +129,11 @@ def _corrupt_row(ids, rate, vocab_size, rng, config) -> MaskOutcome | None:
         draws = rng.integers(N_SPECIALS, vocab_size - 1, size=selected.size)
         corrupted[selected] = draws + (draws >= ids[selected])
         return MaskOutcome(corrupted, selected, maskable, hit.astype(np.int64), n)
-    if selected.size == 0 and config.min_masked >= 1:
+    if selected.size == 0 and config.min_masked:
         selected = maskable[[rng.integers(n)]]
     u = rng.random(selected.size)
-    to_mask = u < config.replace_mask_frac
-    to_random = (~to_mask) & (u < config.replace_mask_frac + config.replace_random_frac)
+    to_mask = u < _MASK_FRAC
+    to_random = (~to_mask) & (u < _MASK_FRAC + _RANDOM_FRAC)
     corrupted[selected[to_mask]] = MASK_ID
     corrupted[selected[to_random]] = rng.integers(
         N_SPECIALS, vocab_size, size=int(to_random.sum())

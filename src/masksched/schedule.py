@@ -1,8 +1,9 @@
 """Masking-rate schedules evaluated at any training step.
 
-Four schedule families are supported: constant, linear, cosine, and
-step-wise decay. A schedule is a pure function of the step index, so the
-logged rate trace of a run can be checked against the closed form exactly.
+Four schedule families are supported: constant, linear, cosine, and a
+single step halfway through training. A schedule is a pure function of the
+step index, so the logged rate trace of a run can be checked against the
+closed form exactly.
 
 Canonical string forms ("linear-0.3-0.15", "constant-0.15", ...) are used
 in config files, CLI flags, and metrics logs; ``parse_schedule`` inverts
@@ -25,9 +26,9 @@ class ScheduleError(ValueError):
 class ScheduleSpec:
     """A masking-rate schedule, evaluable at any step in [0, total_steps].
 
-    ``decay_steps`` and ``decay_factor`` apply to the "step" kind only:
-    the rate starts at ``initial_rate`` and is multiplied by
-    ``decay_factor`` once for each decay step that has been reached.
+    The "step" kind holds ``initial_rate`` for the first half of training
+    and ``final_rate`` from step ``total_steps // 2`` on; its two rates,
+    like those of "linear" and "cosine", may be any two rates in [0, 1].
     Every invariant is checked when the spec is built; an invalid one
     raises ``ScheduleError`` listing all of its problems.
     """
@@ -36,8 +37,6 @@ class ScheduleSpec:
     initial_rate: float
     final_rate: float
     total_steps: int
-    decay_steps: tuple[int, ...] = ()
-    decay_factor: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in SCHEDULE_KINDS:
@@ -50,42 +49,8 @@ class ScheduleSpec:
                 problems.append(f"{label} out of [0,1]: {rate!r}")
         if self.kind == "constant" and self.initial_rate != self.final_rate:
             problems.append("constant schedule requires initial_rate == final_rate")
-        if self.kind == "step":
-            if self.initial_rate <= 0:
-                problems.append("step schedule requires initial_rate > 0")
-            if not (0.0 < self.decay_factor <= 1.0):
-                problems.append(f"decay_factor out of (0,1]: {self.decay_factor!r}")
-            if list(self.decay_steps) != sorted(set(self.decay_steps)):
-                problems.append("decay_steps must be strictly increasing")
-            if any(not (0 <= s < self.total_steps) for s in self.decay_steps):
-                problems.append("decay_steps must lie in [0, total_steps)")
-            implied = self.initial_rate * self.decay_factor ** len(self.decay_steps)
-            if not math.isclose(implied, self.final_rate, rel_tol=1e-12, abs_tol=1e-15):
-                problems.append(
-                    "final_rate inconsistent with decay_factor applied over decay_steps"
-                )
-        elif self.decay_steps or self.decay_factor != 1.0:
-            problems.append(f"decay settings only apply to the step kind, not {self.kind!r}")
         if problems:
             raise ScheduleError("; ".join(problems))
-
-
-def step_halfway(initial_rate: float, final_rate: float, total_steps: int) -> ScheduleSpec:
-    """Step schedule with a single decay halfway through training.
-
-    The decay factor is final_rate / initial_rate so the rate lands on
-    final_rate after the one decay.
-    """
-    if initial_rate <= 0:
-        raise ScheduleError("step schedule requires initial_rate > 0")
-    return ScheduleSpec(
-        kind="step",
-        initial_rate=initial_rate,
-        final_rate=final_rate,
-        total_steps=total_steps,
-        decay_steps=(total_steps // 2,),
-        decay_factor=final_rate / initial_rate,
-    )
 
 
 def masking_rate(spec: ScheduleSpec, t: float) -> float:
@@ -94,7 +59,7 @@ def masking_rate(spec: ScheduleSpec, t: float) -> float:
     constant: initial_rate
     linear:   initial_rate + (t/T) * (final_rate - initial_rate)
     cosine:   initial_rate + (final_rate - initial_rate)/2 * (1 + cos((1 - t/T) * pi))
-    step:     initial_rate * decay_factor ** #{decay steps <= t}
+    step:     initial_rate for t < T // 2, final_rate from T // 2 on
     """
     total = spec.total_steps
     if not (0 <= t <= total):
@@ -107,17 +72,14 @@ def masking_rate(spec: ScheduleSpec, t: float) -> float:
         return spec.initial_rate + ((spec.final_rate - spec.initial_rate) / 2) * (
             1 + math.cos((1 - t / total) * math.pi)
         )
-    n_applied = sum(1 for s in spec.decay_steps if s <= t)
-    return spec.initial_rate * spec.decay_factor**n_applied
+    return spec.initial_rate if t < total // 2 else spec.final_rate
 
 
 def schedule_name(spec: ScheduleSpec) -> str:
     """Canonical string: "constant-0.15", "linear-0.3-0.15", etc.
 
     Rates are rendered with ``repr`` so parsing the name recovers the
-    exact float. For step schedules the name carries only the endpoint
-    rates; only the single-halfway-decay form round-trips through
-    ``parse_schedule``.
+    exact float.
     """
     if spec.kind == "constant":
         return f"constant-{spec.initial_rate!r}"
@@ -140,6 +102,4 @@ def parse_schedule(name: str, total_steps: int) -> ScheduleSpec:
         return ScheduleSpec(kind, rates[0], rates[0], total_steps)
     if len(rates) != 2:
         raise ScheduleError(f"{kind} schedule takes two rates, got {name!r}")
-    if kind == "step":
-        return step_halfway(rates[0], rates[1], total_steps)
     return ScheduleSpec(kind, rates[0], rates[1], total_steps)

@@ -335,8 +335,8 @@ def corrupt_batch(
 
 
 def _config_header(model_config: ModelConfig, train_config: TrainConfig) -> dict:
-    # the schedule is stored as its full field dict (lossless even for
-    # general step schedules); the canonical name rides along for display
+    # the schedule is stored as its field dict, total_steps included; the
+    # canonical name rides along for display
     cfg = dataclasses.asdict(train_config)
     cfg["schedule_name"] = schedule_name(train_config.schedule)
     return {

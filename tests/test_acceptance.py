@@ -41,7 +41,7 @@ from masksched.analysis import (
     speedup_from_steps,
     speedup_model,
 )
-from masksched.schedule import ScheduleSpec, masking_rate, parse_schedule, step_halfway
+from masksched.schedule import ScheduleSpec, masking_rate, parse_schedule
 from masksched.stats import hochberg, one_sided_t
 from masksched.trainer import TrainConfig, train
 
@@ -76,7 +76,7 @@ def test_c01_schedule_exactness():
             "linear-0.3-0.15": ScheduleSpec("linear", 0.3, 0.15, total),
             "linear-0.15-0.3": ScheduleSpec("linear", 0.15, 0.3, total),
             "cosine-0.3-0.15": ScheduleSpec("cosine", 0.3, 0.15, total),
-            "step-0.3-0.15": step_halfway(0.3, 0.15, total),
+            "step-0.3-0.15": ScheduleSpec("step", 0.3, 0.15, total),
         }
 
         def closed_form(name, t):

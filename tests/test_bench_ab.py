@@ -61,6 +61,19 @@ def _runs(change_correct):
     return runs
 
 
+def test_fewer_than_ten_pairs_exit_2_before_any_git_work(monkeypatch, tmp_path):
+    def no_git(*args):
+        raise AssertionError("git called")
+
+    monkeypatch.setattr(bench_ab, "_git", no_git)
+    monkeypatch.setattr(bench_ab, "_unpack", no_git)
+    argv = ["HEAD", "--workload", "toy-train", "--pairs", "6", "--out", str(tmp_path / "b.json")]
+    with pytest.raises(SystemExit) as info:
+        bench_ab.main(argv)
+    assert info.value.code == 2
+    assert not (tmp_path / "b.json").exists()
+
+
 class TestSummarizeRuns:
     def test_correct_runs_keep_their_verdicts(self):
         report = bench_ab.summarize_runs(_runs([True] * 5), SPEC)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -9,20 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from masksched.cli import (
-    _EVAL_KEYS,
-    _JSON_TYPES,
-    _MODEL_KEYS,
-    _TRAIN_KEYS,
-    RunConfig,
-    _field_names,
-    main,
-)
-from masksched.corruption import CorruptionConfig
+from masksched.cli import _JSON_TYPES, _SECTIONS, RunConfig, _fields, main
 from masksched.data import synthetic_zipf_corpus
-from masksched.evaluate import EvalConfig
-from masksched.model import ModelConfig
-from masksched.trainer import TrainConfig
 
 from fit_series import OVERFLOW_STEPS, OVERFLOW_VALUES
 
@@ -99,6 +86,7 @@ class TestTrainCommand:
             ("total_steps", 4.0),
             ("eval_every", 1.5),
             ("min_masked", 0.5),
+            ("min_masked", 3),
             ("seed", True),
             ("schedule", 0.15),
         ],
@@ -135,15 +123,15 @@ class TestTrainCommand:
         assert main(["train", write_config(tmp_path, doc)]) == 0
 
     def test_every_run_config_key_has_a_json_type(self):
-        for section, classes in (
-            (_field_names(RunConfig), [RunConfig]),
-            (_MODEL_KEYS, [ModelConfig]),
-            (_TRAIN_KEYS, [TrainConfig, CorruptionConfig]),
-            (_EVAL_KEYS, [EvalConfig]),
-        ):
-            types = {f.name: f.type for cls in classes for f in dataclasses.fields(cls)}
-            for key in section:
-                assert types[key].partition(" | ")[0] in _JSON_TYPES, key
+        for classes, drop in [((RunConfig,), ()), *_SECTIONS.values()]:
+            for key, f in _fields(*classes, drop=drop).items():
+                assert f.type.partition(" | ")[0] in _JSON_TYPES, key
+
+    def test_configs_checked_before_the_corpus_is_read(self, tmp_path, capsys):
+        doc = run_config(str(tmp_path / "missing.txt"), str(tmp_path / "run"))
+        doc["model"]["n_layers"] = 0
+        assert main(["train", write_config(tmp_path, doc)]) == 2
+        assert "n_layers" in capsys.readouterr().err
 
     def test_negative_stop_after_exits_2(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "run"

@@ -211,10 +211,6 @@ class TestInvariants:
         ids = np.array([CLS_ID, SEP_ID])
         assert corrupt_row(ids, 0.3, rng()) is None
 
-    def test_fraction_sum_validated(self):
-        with pytest.raises(ValueError, match="sum to 1.0"):
-            CorruptionConfig(replace_mask_frac=0.7)
-
     def test_subset_mode_shrinks_loss_set(self):
         seqs = [make_sequence(100, seed=s) for s in range(3)]
         outcomes, _, _ = corrupt_batch(seqs, 0.5, VOCAB_SIZE, [rng(s) for s in range(3)])
@@ -237,8 +233,8 @@ class TestCorruptBatch:
 
     def test_invalid_config_rejected(self):
         # a config is checked when built, so no invalid one reaches a batch
-        with pytest.raises(ValueError, match="sum to 1.0"):
-            dataclasses.replace(CorruptionConfig(), replace_mask_frac=0.7)
+        with pytest.raises(ValueError, match="min_masked must be 0 or 1"):
+            dataclasses.replace(CorruptionConfig(), min_masked=-1)
 
 
 # Recorded outcomes of one fixed batch: a long row, a short row whose draw at

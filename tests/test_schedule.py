@@ -10,7 +10,6 @@ from masksched.schedule import (
     masking_rate,
     parse_schedule,
     schedule_name,
-    step_halfway,
 )
 
 T = 70_000
@@ -40,7 +39,7 @@ class TestClosedForms:
         assert abs(masking_rate(spec, T) - 0.15) < 1e-15
 
     def test_step_halfway_decays_once(self):
-        spec = step_halfway(0.3, 0.15, T)
+        spec = ScheduleSpec("step", 0.3, 0.15, T)
         assert masking_rate(spec, T // 2 - 1) == 0.3
         assert masking_rate(spec, T // 2) == 0.15
         assert masking_rate(spec, T) == 0.15
@@ -48,15 +47,6 @@ class TestClosedForms:
     def test_constant(self):
         spec = ScheduleSpec("constant", 0.15, 0.15, T)
         assert masking_rate(spec, 12345) == 0.15
-
-    def test_step_general_form_applies_each_decay(self):
-        spec = ScheduleSpec(
-            "step", 0.4, 0.4 * 0.5**3, 100, decay_steps=(10, 50, 90), decay_factor=0.5
-        )
-        assert masking_rate(spec, 9) == 0.4
-        assert masking_rate(spec, 10) == 0.2
-        assert masking_rate(spec, 50) == 0.1
-        assert masking_rate(spec, 99) == 0.05
 
     def test_out_of_range_step_rejected(self):
         with pytest.raises(ScheduleError, match="out of range"):
@@ -98,14 +88,14 @@ class TestNames:
         assert schedule_name(linear(0.3, 0.15, T)) == "linear-0.3-0.15"
         assert schedule_name(ScheduleSpec("constant", 0.4, 0.4, T)) == "constant-0.4"
         assert schedule_name(cosine(0.3, 0.15, T)) == "cosine-0.3-0.15"
-        assert schedule_name(step_halfway(0.3, 0.15, T)) == "step-0.3-0.15"
+        assert schedule_name(ScheduleSpec("step", 0.3, 0.15, T)) == "step-0.3-0.15"
 
     def test_round_trip(self):
         for name in ("linear-0.3-0.15", "cosine-0.3-0.15", "constant-0.15", "step-0.3-0.15"):
             assert schedule_name(parse_schedule(name, T)) == name
 
     def test_parse_recovers_spec(self):
-        for spec in (linear(0.3, 0.15, T), cosine(0.15, 0.3, T), step_halfway(0.3, 0.15, T)):
+        for spec in (linear(0.3, 0.15, T), cosine(0.15, 0.3, T), ScheduleSpec("step", 0.3, 0.15, T)):
             assert parse_schedule(schedule_name(spec), T) == spec
 
     def test_malformed_strings_rejected(self):
@@ -119,7 +109,7 @@ rates = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 class TestProperties:
     @settings(max_examples=50)
-    @given(pi=rates, pf=rates, kind=st.sampled_from(["linear", "cosine"]))
+    @given(pi=rates, pf=rates, kind=st.sampled_from(["linear", "cosine", "step"]))
     def test_monotone_between_endpoints(self, pi, pf, kind):
         spec = ScheduleSpec(kind, pi, pf, 1000)
         values = [masking_rate(spec, t) for t in range(0, 1001, 10)]
@@ -137,13 +127,13 @@ class TestProperties:
         for t in (0, 500, 1000):
             assert abs(masking_rate(lin, t) - masking_rate(cos, t)) < 1e-15
 
-    def test_step_is_piecewise_constant_with_expected_jumps(self):
-        spec = ScheduleSpec(
-            "step", 0.4, 0.4 * 0.25, 200, decay_steps=(40, 120), decay_factor=0.5
-        )
+    def test_step_jumps_once_halfway_between_its_rates(self):
+        spec = parse_schedule("step-0.3-0.15", 200)
         values = [masking_rate(spec, t) for t in range(201)]
         jumps = [t for t in range(1, 201) if values[t] != values[t - 1]]
-        assert jumps == [40, 120]
+        assert jumps == [100]
+        assert set(values[:100]) == {0.3}
+        assert set(values[100:]) == {0.15}
 
     def test_pure_function(self):
         spec = linear(0.3, 0.15, T)

@@ -101,10 +101,11 @@ class TestConfigValidation:
             (MODEL, {"n_heads": 3}, "d_model must be divisible by n_heads"),
             (config().schedule, {"final_rate": 0.3}, "requires initial_rate == final_rate"),
             (CorruptionConfig(), {"objective": "bert"}, "unknown objective 'bert'"),
+            (CorruptionConfig(), {"min_masked": 3}, "min_masked must be 0 or 1, got 3"),
             (EvalConfig(), {"n_batches": 0}, "n_batches must be >= 1"),
             (config(), {"total_steps": 7}, "schedule.total_steps must equal total_steps"),
         ],
-        ids=["model", "schedule", "corruption", "eval", "train"],
+        ids=["model", "schedule", "corruption", "min-masked", "eval", "train"],
     )
     def test_replace_checks_again(self, valid, change, message):
         with pytest.raises(ValueError, match=message):
