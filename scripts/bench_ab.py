@@ -16,7 +16,9 @@ The JSON written to ``--out`` holds the machine record and, per workload:
 every run's metrics; per end-to-end metric of ``BENCHMARK.json``, each
 side's median and quartiles, the pairs each side won, the median of the
 paired change/base ratios and a verdict; and both sides' ``eval_loss_end``
-values and run-artifact digests, with whether they are equal. A verdict is
+values and run-artifact digests, with whether they are equal. Each run
+entry also records how many train-and-score cycles each side's run made
+(``train_runs``), which moves ``peak_rss_mb``. A verdict is
 ``gain`` when the change wins at least nine tenths of the pairs and its
 median beats the base's by more than the base's interquartile range,
 ``regression`` when its median is worse by more than the metric's bound,
@@ -161,6 +163,9 @@ def summarize_runs(runs: list[dict], spec: dict) -> dict:
                 "pair": r["pair"],
                 "first": r["first"],
                 **{s: {k: v["value"] for k, v in r[s]["metrics"].items()} for s in sides},
+                # perfbench keeps every cycle's results alive, so peak_rss_mb
+                # rises with the number of train-and-score cycles that fit
+                "train_runs": {s: r[s].get("info", {}).get("train_runs") for s in sides},
             }
             for r in runs
         ],

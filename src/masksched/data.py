@@ -27,9 +27,19 @@ SPECIAL_TOKENS = (PAD_TOKEN, MASK_TOKEN, CLS_TOKEN, SEP_TOKEN, UNK_TOKEN)
 PAD_ID, MASK_ID, CLS_ID, SEP_ID, UNK_ID = range(5)
 N_SPECIALS = len(SPECIAL_TOKENS)
 
-# Seed-derivation domain for epoch shuffles (keeps streams disjoint from
-# the corruption/eval domains used elsewhere).
-_SHUFFLE_DOMAIN = 101
+# Every random stream is keyed by (seed, domain, *counters): one domain per
+# kind of draw keeps the streams disjoint, and the counters make a draw a
+# pure function of where it happens, so a run is bit-reproducible and a
+# resumed run draws what an uninterrupted one would.
+RNG_DOMAINS = {  # name -> domain, with the counters its draws pass
+    "synthetic_corpus": 7,  # none
+    "shuffle": 101,  # epoch
+    "corruption": 202,  # step, row
+    "loss_subset": 204,  # step
+    "eval": 303,  # eval batch, row
+    "gradcheck_case": 909,  # none
+    "gradcheck_coords": 910,  # none
+}
 
 # A token sequence is an int64 id array: [CLS] ... [SEP], optionally padded.
 TokenSequence = np.ndarray
@@ -85,9 +95,14 @@ def encode(vocab: Vocab, line: str, max_len: int) -> TokenSequence:
     return np.asarray(ids, dtype=np.int64)
 
 
+def counter_rng(seed: int, domain: str, *counters: int) -> np.random.Generator:
+    """The generator of the ``RNG_DOMAINS[domain]`` stream at ``counters``."""
+    return np.random.default_rng(np.random.SeedSequence((seed, RNG_DOMAINS[domain], *counters)))
+
+
 def epoch_permutation(n_sequences: int, seed: int, epoch: int = 0) -> np.ndarray:
     """Deterministic shuffle of [0, n_sequences) for one epoch."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, _SHUFFLE_DOMAIN, epoch)))
+    rng = counter_rng(seed, "shuffle", epoch)
     return rng.permutation(n_sequences)
 
 
@@ -156,7 +171,7 @@ def synthetic_zipf_corpus(
     max_len: int = 14,
 ) -> list[str]:
     """Toy corpus of iid Zipf-distributed words, for desk-scale runs."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 7)))
+    rng = counter_rng(seed, "synthetic_corpus")
     words = [f"w{k:03d}" for k in range(n_word_types)]
     weights = 1.0 / np.arange(1, n_word_types + 1)
     probs = weights / weights.sum()

@@ -19,11 +19,8 @@ import numpy as np
 
 from . import model
 from .corruption import collate_targets, corrupt_batch, maskable_indices
-from .data import MASK_ID, Vocab, encode
+from .data import MASK_ID, Vocab, counter_rng, encode
 from .model import ModelConfig, Params
-
-# Seed-derivation domain for per-(batch, row) evaluation masks.
-_EVAL_DOMAIN = 303
 
 
 @dataclass(frozen=True)
@@ -49,10 +46,6 @@ class MinimalPair:
     super_task: str
     sentence_good: str
     sentence_bad: str
-
-
-def _eval_rng(seed: int, batch: int, row: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, _EVAL_DOMAIN, batch, row)))
 
 
 def eval_batches(dataset: list[np.ndarray], cfg: EvalConfig, batch_size: int):
@@ -83,7 +76,7 @@ def eval_mlm(
     digest = hashlib.sha256()
     batch_losses = []
     for b, seqs in eval_batches(dataset, cfg, batch_size):
-        rngs = [_eval_rng(cfg.seed, b, r) for r in range(len(seqs))]
+        rngs = [counter_rng(cfg.seed, "eval", b, r) for r in range(len(seqs))]
         outcomes, ids, real = corrupt_batch(seqs, cfg.masking_rate, config.vocab_size, rngs)
         for r, o in enumerate(outcomes):
             if o is not None and o.loss_set.size:

@@ -11,10 +11,11 @@ projections, the feed-forward and the heads) on a packed (T, d) array of
 the T real rows alone. Nothing reads a pad row's result: padded keys get
 exactly zero attention and pad rows carry no loss, so leaving them out
 changes only the order of float sums. Attention alone scatters Q, K and V
-back to (B, H, S, dh) and gathers its context back to the T rows; when
-every row is real those are plain reshapes. Each layer runs in its own
-call, so a forward-only call keeps no layer's activations past the layer;
-they are kept only for ``backward``.
+back to (B, H, S, dh) and gathers its context back to the T rows. Every
+batch takes this one path, an unpadded one (as in PLL) included, where the
+index simply lists every row. Each layer runs in its own call, so a
+forward-only call keeps no layer's activations past the layer; they are
+kept only for ``backward``.
 
 The heads: ``HEADS`` maps each head name to its loss on the logits at n
 loss positions, ``mlm_loss_grad(logits, labels)`` on (n, V) logits and
@@ -47,7 +48,7 @@ from typing import Iterable
 import numpy as np
 from scipy.special import erf
 
-from .data import CLS_ID, N_SPECIALS, PAD_ID, SEP_ID
+from .data import CLS_ID, N_SPECIALS, PAD_ID, SEP_ID, counter_rng
 
 LN_EPS = 1e-12
 INIT_STD = 0.02
@@ -225,21 +226,12 @@ def _gelu_grad(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return phi + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
-def _gather(x: np.ndarray, sel: np.ndarray | None) -> np.ndarray:
-    """(B, S, ...) -> (T, ...): the rows ``sel`` of the flattened batch, or
-    all B·S rows, by a reshape, when ``sel`` is None."""
-    flat = x.reshape(-1, *x.shape[2:])
-    return flat if sel is None else flat[sel]
-
-
-def _scatter(x: np.ndarray, sel: np.ndarray | None, batch: int, length: int, fill=0.0):
-    """(T, ...) -> (B, S, ...), the inverse of ``_gather``; the rows outside
-    ``sel`` hold ``fill``."""
-    if sel is not None:
-        full = np.full((batch * length, *x.shape[1:]), fill)
-        full[sel] = x
-        x = full
-    return x.reshape(batch, length, *x.shape[1:])
+def _scatter(x: np.ndarray, sel: np.ndarray, batch: int, length: int, fill=0.0):
+    """Rows (T, ...) -> (B, S, ...): row i lands at flat index ``sel[i]`` of
+    the batch, and every other row holds ``fill``."""
+    full = np.full((batch * length, *x.shape[1:]), fill)
+    full[sel] = x
+    return full.reshape(batch, length, *x.shape[1:])
 
 
 def _split_heads(x: np.ndarray, sel, batch: int, length: int, n_heads: int) -> np.ndarray:
@@ -251,15 +243,7 @@ def _split_heads(x: np.ndarray, sel, batch: int, length: int, n_heads: int) -> n
 def _merge_heads(x: np.ndarray, sel) -> np.ndarray:
     """Heads (B, H, S, dh) -> rows (T, d), the rows ``sel`` only."""
     _, h, length, dh = x.shape
-    x = x.transpose(0, 2, 1, 3)
-    if sel is not None:
-        x = x[np.divmod(sel, length)]
-    return x.reshape(-1, h * dh)
-
-
-def _row_ids(ids: np.ndarray, sel) -> tuple[np.ndarray, np.ndarray]:
-    """The token id and the position of each row ``sel`` of an id batch."""
-    return _gather(ids, sel), _gather(np.broadcast_to(np.arange(ids.shape[1]), ids.shape), sel)
+    return x.transpose(0, 2, 1, 3)[np.divmod(sel, length)].reshape(-1, h * dh)
 
 
 def _head_rows(positions, real_mask: np.ndarray, sel) -> np.ndarray:
@@ -269,7 +253,7 @@ def _head_rows(positions, real_mask: np.ndarray, sel) -> np.ndarray:
     flat = np.ravel_multi_index((rows, cols), real_mask.shape)
     if not real_mask.reshape(-1)[flat].all():
         raise ValueError("a scored position is padding")
-    return flat if sel is None else np.searchsorted(sel, flat)
+    return np.searchsorted(sel, flat)
 
 
 def _heads_in_order(names) -> list[str]:
@@ -314,19 +298,18 @@ def forward(
 def _encode(params, config, ids, real_mask, keep_activations):
     """Run the encoder on the real rows of a padded id batch.
 
-    Returns ``sel``, the flat indices of the T real rows in the (B·S) batch
-    (None when every row is real), and the cache: the final hidden state
-    ``hfin`` (T, d) and, with ``keep_activations``, what
-    ``_backward_from_heads`` needs from every layer.
+    Returns ``sel``, the flat indices of the T real rows in the (B·S) batch,
+    and the cache: the final hidden state ``hfin`` (T, d) and, with
+    ``keep_activations``, what ``_backward_from_heads`` needs from every
+    layer.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.shape[1] > config.max_seq_len:
         raise ValueError(f"sequence length {ids.shape[1]} exceeds max_seq_len {config.max_seq_len}")
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ValueError("token id out of range")
-    sel = None if real_mask.all() else np.flatnonzero(real_mask)
-    tok_ids, pos_ids = _row_ids(ids, sel)
-    h = params["tok_emb"][tok_ids] + params["pos_emb"][pos_ids]
+    sel = np.flatnonzero(real_mask)
+    h = params["tok_emb"][ids.reshape(-1)[sel]] + params["pos_emb"][sel % ids.shape[1]]
     layers = []
     for i in range(config.n_layers):
         h, acts = _layer_forward(
@@ -535,9 +518,8 @@ def _backward_from_heads(params, config, ids, sel, cache, d_logits) -> Params:
         grads[p + "ln1.shift"] += dshift
         dh = dh + dx
 
-    tok_ids, pos_ids = _row_ids(ids, sel)
-    np.add.at(grads["pos_emb"], pos_ids, dh)
-    np.add.at(grads["tok_emb"], tok_ids, dh)
+    np.add.at(grads["pos_emb"], sel % length, dh)
+    np.add.at(grads["tok_emb"], ids.reshape(-1)[sel], dh)
     return grads
 
 
@@ -569,7 +551,7 @@ def _gradcheck_case(config: ModelConfig, seed: int):
     The last row ends up to two positions early, so the check covers the
     padding that the real-rows path leaves out.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 909)))
+    rng = counter_rng(seed, "gradcheck_case")
     batch, length = 2, min(config.max_seq_len, 6)
     ids = rng.integers(N_SPECIALS, config.vocab_size, size=(batch, length))
     real = np.ones((batch, length), dtype=bool)
@@ -618,7 +600,7 @@ def grad_check(
     if not math.isfinite(loss0):
         raise ValueError("non-finite loss in gradient check")
 
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 910)))
+    rng = counter_rng(seed, "gradcheck_coords")
     names = list(params)
     sizes = np.array([params[n].size for n in names], dtype=np.int64)
     alloc = np.ones(len(names), dtype=np.int64)

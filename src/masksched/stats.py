@@ -14,6 +14,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from scipy.special import stdtr
 
@@ -34,23 +35,16 @@ class SampleSet:
     def mean(self) -> float:
         return math.fsum(self.values) / len(self.values)
 
-    @property
-    def variance(self) -> float:
-        m = self.mean
-        return math.fsum((v - m) ** 2 for v in self.values) / (len(self.values) - 1)
 
-
-def welch_statistic(x: SampleSet | tuple, y: SampleSet | tuple) -> tuple[float, float]:
+def welch_statistic(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """Welch's t statistic for mean(x) - mean(y), with Satterthwaite df."""
-    xs = x.values if isinstance(x, SampleSet) else tuple(x)
-    ys = y.values if isinstance(y, SampleSet) else tuple(y)
-    if len(xs) < 2 or len(ys) < 2:
+    if len(x) < 2 or len(y) < 2:
         raise ValueError("need at least 2 values per sample")
-    nx, ny = len(xs), len(ys)
-    mx = math.fsum(xs) / nx
-    my = math.fsum(ys) / ny
-    vx = math.fsum((v - mx) ** 2 for v in xs) / (nx - 1)
-    vy = math.fsum((v - my) ** 2 for v in ys) / (ny - 1)
+    nx, ny = len(x), len(y)
+    mx = math.fsum(x) / nx
+    my = math.fsum(y) / ny
+    vx = math.fsum((v - mx) ** 2 for v in x) / (nx - 1)
+    vy = math.fsum((v - my) ** 2 for v in y) / (ny - 1)
     se2 = vx / nx + vy / ny
     if se2 == 0.0:
         return math.copysign(math.inf, mx - my) if mx != my else 0.0, float("nan")
@@ -62,7 +56,7 @@ def welch_statistic(x: SampleSet | tuple, y: SampleSet | tuple) -> tuple[float, 
     return t, df
 
 
-def one_sided_t(x: SampleSet | tuple, y: SampleSet | tuple) -> float:
+def one_sided_t(x: Sequence[float], y: Sequence[float]) -> float:
     """p-value for the alternative "x is worse than y": P(T <= t_obs)."""
     t, df = welch_statistic(x, y)
     if math.isnan(df):
@@ -141,7 +135,7 @@ def parity_table(samples: list[SampleSet], alpha: float = 0.05) -> SignificanceR
         means = {name: s.mean for name, s in sets.items()}
         best = min(means, key=lambda name: (-means[name], name))
         others = sorted(name for name in sets if name != best)
-        pvals = [one_sided_t(sets[name], sets[best]) for name in others]
+        pvals = [one_sided_t(sets[name].values, sets[best].values) for name in others]
         rejected_idx = hochberg(pvals, alpha)
         rejected = {others[i] for i in rejected_idx}
         parity = [best] + [name for name in others if name not in rejected]

@@ -1,8 +1,9 @@
 """The pretraining loop: scheduled corruption, AdamW, warmup+decay LR, logging.
 
 Every source of randomness is derived functionally from (seed, step, row)
-via SeedSequence, so a run is bit-reproducible and a checkpoint-resume split
-produces exactly the same bytes as an uninterrupted run. The optimizer state
+through ``data.counter_rng``, so a run is bit-reproducible and a
+checkpoint-resume split produces exactly the same bytes as an uninterrupted
+run. The optimizer state
 is stored in the checkpoint alongside the parameters.
 
 Parameters, gradients and the AdamW moments are flat float64 buffers with
@@ -30,6 +31,7 @@ timing logging is enabled so that reruns are byte-identical by default.
 from __future__ import annotations
 
 import dataclasses
+import glob
 import json
 import math
 import os
@@ -45,15 +47,10 @@ from .corruption import (
     collate_targets,
     round_half_up,
 )
-from .data import Vocab, atomic_write, epoch_permutation
+from .data import Vocab, atomic_write, counter_rng, epoch_permutation
 from .evaluate import EvalConfig
 from .model import ModelConfig, Params
 from .schedule import ScheduleSpec, masking_rate, schedule_name
-
-# Seed-derivation domains for per-(step, row) corruption generators and the
-# per-step loss-subset draw.
-_CORRUPT_DOMAIN = 202
-_SUBSET_DOMAIN = 204
 
 CHECKPOINT_FORMAT = "masksched-ckpt-v1"
 
@@ -295,10 +292,6 @@ def batch_indices(n_sequences: int, batch_size: int, seed: int, step: int) -> np
     return order[slot * batch_size : (slot + 1) * batch_size]
 
 
-def corruption_rng(seed: int, step: int, row: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, _CORRUPT_DOMAIN, step, row)))
-
-
 def restrict_loss_budget(
     labels: np.ndarray,
     rows: np.ndarray,
@@ -330,7 +323,7 @@ def corrupt_batch(
     config: CorruptionConfig,
 ) -> tuple[list[MaskOutcome | None], np.ndarray, np.ndarray]:
     """``corruption.corrupt_batch`` with the per-(seed, step, row) generators."""
-    rngs = [corruption_rng(seed, step, row) for row in range(len(seqs))]
+    rngs = [counter_rng(seed, "corruption", step, row) for row in range(len(seqs))]
     return corruption.corrupt_batch(seqs, rate, vocab_size, rngs, config)
 
 
@@ -447,7 +440,9 @@ def train(
 
     ``stop_after`` ends the loop early at the given step so a run can be
     split and resumed; the final post-run evaluation and checkpoint happen
-    only when the stop point is the configured total.
+    only when the stop point is the configured total. A run that does not
+    resume starts ``out_dir``'s metrics afresh and removes the checkpoints an
+    earlier run left there.
     """
     if stop_after is not None and stop_after < 0:
         raise ValueError("stop_after must be >= 0")
@@ -479,6 +474,9 @@ def train(
         metrics_path = os.path.join(out_dir, "metrics.jsonl")
         if resume_from is not None:
             _cut_metrics(metrics_path, start)
+        else:
+            for path in glob.glob(os.path.join(glob.escape(ckpt_dir), "step-*.ckpt")):
+                os.remove(path)
         metrics_fh = open(metrics_path, "ab" if resume_from is not None else "wb")
 
     def run_eval(p: Params) -> float:
@@ -523,9 +521,7 @@ def train(
                     cols,
                     maskable_total,
                     fraction,
-                    np.random.default_rng(
-                        np.random.SeedSequence((train_config.seed, _SUBSET_DOMAIN, t))
-                    ),
+                    counter_rng(train_config.seed, "loss_subset", t),
                 )
             loss, grads = model.backward(
                 params, model_config, ids, real, {train_config.objective: (labels, rows, cols)}

@@ -88,3 +88,16 @@ class TestSummarizeRuns:
         assert not report["correct"][failed_side]
         assert set(report["metrics"]) == {"train_tokens_per_s", "step_ms_p50"}
         assert {m["verdict"] for m in report["metrics"].values()} == {"incorrect"}
+
+    def test_each_run_records_both_sides_train_runs(self):
+        runs = _runs([True] * 3)
+        for r in runs:
+            r["base"] = dict(r["base"], info={"train_runs": 2})
+            r["change"] = dict(r["change"], info={"train_runs": 3})
+        runs[1]["change"] = dict(runs[1]["change"], info={})
+        report = bench_ab.summarize_runs(runs, SPEC)
+        assert [r["train_runs"] for r in report["runs"]] == [
+            {"base": 2, "change": 3},
+            {"base": 2, "change": None},
+            {"base": 2, "change": 3},
+        ]

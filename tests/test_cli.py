@@ -149,6 +149,14 @@ class TestTrainCommand:
         assert "force" in capsys.readouterr().err
         assert main(["train", cfg, "--force"]) == 0
 
+    def test_force_replaces_the_earlier_runs_checkpoints(self, corpus_path, tmp_path):
+        out = tmp_path / "run"
+        doc = run_config(corpus_path, str(out), total_steps=6, checkpoint_every=3)
+        assert main(["train", write_config(tmp_path, doc)]) == 0
+        doc = run_config(corpus_path, str(out), total_steps=4, checkpoint_every=2)
+        assert main(["train", write_config(tmp_path, doc), "--force"]) == 0
+        assert sorted(os.listdir(out / "checkpoints")) == ["step-2.ckpt", "step-4.ckpt"]
+
     def test_config_round_trip(self, corpus_path, tmp_path):
         out = tmp_path / "run"
         doc = run_config(corpus_path, str(out))

@@ -41,7 +41,7 @@ class TestOneSidedT:
     def test_identical_samples_give_half(self):
         x = SampleSet("a", "t", (1.0, 2.0, 3.0))
         y = SampleSet("b", "t", (1.0, 2.0, 3.0))
-        assert one_sided_t(x, y) == 0.5
+        assert one_sided_t(x.values, y.values) == 0.5
 
     def test_extreme_separation(self):
         p = one_sided_t((1.0, 2.0, 3.0), (101.0, 102.0, 103.0))
