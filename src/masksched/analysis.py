@@ -42,17 +42,6 @@ class RegressionFit:
     def __call__(self, t) -> np.ndarray | float:
         return speedup_model(t, self.c1, self.c2, self.c3, self.c4)
 
-    def to_json(self) -> dict:
-        return {
-            "c1": self.c1,
-            "c2": self.c2,
-            "c3": self.c3,
-            "c4": self.c4,
-            "rss": self.rss,
-            "converged": self.converged,
-            "degenerate": self.degenerate,
-        }
-
 
 def speedup_model(t, c1: float, c2: float, c3: float, c4: float):
     t = np.asarray(t, dtype=np.float64)
@@ -175,9 +164,12 @@ def load_series_csv(path: str, default_name: str | None = None) -> dict[str, tup
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"step", "value"}.issubset(reader.fieldnames):
             raise ValueError(f"{path}: series CSV must have 'step' and 'value' columns")
-        has_name = "schedule" in reader.fieldnames
+        columns = [c for c in ("step", "value", "schedule") if c in reader.fieldnames]
         for row in reader:
-            name = row["schedule"] if has_name else (default_name or "series")
+            empty = [c for c in columns if not row[c]]
+            if empty:
+                raise ValueError(f"{path}, line {reader.line_num}: missing or empty {empty}")
+            name = row.get("schedule", default_name or "series")
             rows.setdefault(name, []).append((float(row["step"]), float(row["value"])))
     if not rows:
         raise ValueError(f"{path}: no data rows")

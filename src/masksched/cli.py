@@ -3,8 +3,9 @@
 Run configs are single JSON documents (unknown keys and wrong-typed values
 rejected, every config checked when built, before any work starts), reports
 are JSON on stdout, series are CSV, minimal pairs are TSV. Every subcommand
-is deterministic given its inputs and seeds; wall-clock timing is opt-in
-(--timings) and never enters a computed result.
+is deterministic given its inputs and seeds, also across BLAS thread
+counts (numpy's OpenBLAS is pinned to one thread); wall-clock timing is
+opt-in (--timings) and never enters a computed result.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage or validation error.
 """
@@ -12,6 +13,7 @@ Exit codes: 0 ok, 1 runtime failure, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import os
@@ -39,9 +41,6 @@ class RunConfig:
     train: dict
     out_dir: str
     eval: dict = dataclasses.field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 # The sections of a run config: the dataclasses whose fields each section
@@ -125,10 +124,23 @@ def build_configs(run: RunConfig) -> tuple[ModelConfig, TrainConfig]:
     return model_cfg, train_cfg
 
 
+def _load_json(path: str):
+    """Load a JSON document; an object that repeats a key raises ``ValueError``."""
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ValueError(f"{path}: duplicate key {key!r}")
+            doc[key] = value
+        return doc
+
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, object_pairs_hook=unique_keys)
+
+
 def cmd_train(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    run = parse_run_config(doc)
+    run = parse_run_config(_load_json(args.config))
     model_cfg, train_cfg = build_configs(run)
     out_dir = run.out_dir
     config_path = os.path.join(out_dir, "config.json")
@@ -144,7 +156,7 @@ def cmd_train(args) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     with data.atomic_write(config_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(run.to_json(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(run), fh, indent=2, sort_keys=True)
         fh.write("\n")
     data.save_vocab(vocab, os.path.join(out_dir, "vocab.txt"))
 
@@ -219,14 +231,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    with open(args.samples, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        samples = stats.samples_from_json(doc)
-        report = stats.parity_table(samples, alpha=args.alpha)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    print(stats.report_json_text(report))
+    report = stats.parity_table(_load_json(args.samples), alpha=args.alpha)
+    print(json.dumps(report, indent=2, sort_keys=True))
     print()
     print(stats.format_parity_text(report))
     return 0
@@ -264,7 +270,7 @@ def cmd_speedup(args) -> int:
     }
     crossovers: dict[str, float] = {}
     for name, fit in fits.items():
-        entry: dict = {"fit": fit.to_json()}
+        entry: dict = {"fit": dataclasses.asdict(fit)}
         if name != args.baseline:
             cross = analysis.crossover_step(fit, baseline_best)
             entry["crossover_step"] = cross
@@ -291,7 +297,7 @@ def cmd_gradcheck(args) -> int:
         init_seed=args.seed,
     )
     report = model.grad_check(config, seed=args.seed, n_coords=args.coords, h=args.h, tol=args.tol)
-    print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+    print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     return 0 if report.passed else 1
 
 
@@ -362,9 +368,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_blas_threads() -> None:
+    """Run numpy's bundled OpenBLAS on one thread: its threaded products sum
+    in an order that depends on the thread count, so a run's bytes would
+    depend on the host's cores. Another BLAS, without the setter, is left
+    as it is."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _pin_blas_threads()
     try:
         return args.func(args)
     except (json.JSONDecodeError, FileNotFoundError, ValueError, KeyError) as exc:

@@ -120,14 +120,11 @@ def load_minimal_pairs(path: str) -> list[MinimalPair]:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"minimal-pair file must have columns {sorted(required)}")
         for row in reader:
-            pairs.append(
-                MinimalPair(
-                    pair_id=row["pair_id"],
-                    super_task=row["super_task"],
-                    sentence_good=row["sentence_good"],
-                    sentence_bad=row["sentence_bad"],
-                )
-            )
+            cells = {key: row[key] for key in sorted(required)}
+            empty = [key for key, cell in cells.items() if not cell]
+            if empty:
+                raise ValueError(f"{path}, line {reader.line_num}: missing or empty {empty}")
+            pairs.append(MinimalPair(**cells))
     if not pairs:
         raise ValueError("no minimal pairs in file")
     return pairs

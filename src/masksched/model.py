@@ -530,19 +530,8 @@ class GradCheckReport:
     n_coords: int
     tol: float
     h: float
-    worst_name: str = ""
+    worst_tensor: str = ""
     warnings: list[str] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "worst_rel_err": self.worst_rel_err,
-            "worst_tensor": self.worst_name,
-            "n_coords": self.n_coords,
-            "tol": self.tol,
-            "h": self.h,
-            "warnings": self.warnings,
-        }
 
 
 def _gradcheck_case(config: ModelConfig, seed: int):
@@ -631,7 +620,7 @@ def grad_check(
             rel = abs(analytic - numeric) / denom
             if rel > report.worst_rel_err:
                 report.worst_rel_err = rel
-                report.worst_name = name
+                report.worst_tensor = name
     report.n_coords = sampled
     report.passed = report.worst_rel_err < tol
     return report

@@ -6,34 +6,28 @@ pairwise p-values are Hochberg-corrected across that task, and the schedules
 whose null is retained form the "parity set" (the bold entries of a results
 table). Higher metric values are treated as better. The Student-t CDF is
 scipy's ``stdtr``, the function ``scipy.stats.t.cdf`` evaluates.
+
+``parity_table`` takes the ``compare`` samples, ``{task: {schedule:
+[values]}}``, exactly as JSON-loaded, and raises ``ValueError`` unless each
+task has at least 2 schedules and each schedule at least 2 finite numbers
+(a bool is not a number). It returns the report that ``masksched compare``
+prints as JSON and ``format_parity_text`` renders:
+
+    {"alpha": alpha,
+     "tasks": {task: {"best": schedule with the highest mean,
+                      "means": {schedule: mean},
+                      "p_values": {other schedule: one-sided p vs best},
+                      "rejected": sorted schedules worse than best,
+                      "parity": sorted best + retained schedules}}}
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from scipy.special import stdtr
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    schedule: str
-    task: str
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) < 2:
-            raise ValueError("need at least 2 values per sample set")
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValueError("sample values must be finite")
-
-    @property
-    def mean(self) -> float:
-        return math.fsum(self.values) / len(self.values)
 
 
 def welch_statistic(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
@@ -91,68 +85,47 @@ def hochberg(pvals: list[float], alpha: float = 0.05) -> set[int]:
     return {order[i] for i in range(best_k)}
 
 
-@dataclass
-class TaskComparison:
-    best: str
-    means: dict[str, float]
-    p_values: dict[str, float]
-    rejected: set[str]
-    parity: list[str]
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-@dataclass
-class SignificanceReport:
-    alpha: float
-    tasks: dict[str, TaskComparison] = field(default_factory=dict)
+def parity_table(samples: dict, alpha: float = 0.05) -> dict:
+    """Best-vs-rest one-sided tests per task, Hochberg-corrected per task.
 
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "tasks": {
-                task: {
-                    "best": cmp.best,
-                    "means": {k: cmp.means[k] for k in sorted(cmp.means)},
-                    "p_values": {k: cmp.p_values[k] for k in sorted(cmp.p_values)},
-                    "rejected": sorted(cmp.rejected),
-                    "parity": cmp.parity,
-                }
-                for task, cmp in sorted(self.tasks.items())
-            },
-        }
-
-
-def parity_table(samples: list[SampleSet], alpha: float = 0.05) -> SignificanceReport:
-    """Best-vs-rest one-sided tests per task, Hochberg-corrected per task."""
-    by_task: dict[str, dict[str, SampleSet]] = {}
-    for s in samples:
-        if s.schedule in by_task.setdefault(s.task, {}):
-            raise ValueError(f"duplicate schedule {s.schedule!r} for task {s.task!r}")
-        by_task[s.task][s.schedule] = s
-    report = SignificanceReport(alpha=alpha)
-    for task, sets in by_task.items():
-        if len(sets) < 2:
+    ``samples`` is the ``compare`` JSON document as loaded; the result is
+    the report that ``compare`` prints (see the module docstring).
+    """
+    if not isinstance(samples, dict) or not all(isinstance(s, dict) for s in samples.values()):
+        raise ValueError("samples must be a JSON object {task: {schedule: [values]}}")
+    tasks = {}
+    for task, by_schedule in samples.items():
+        if len(by_schedule) < 2:
             raise ValueError(f"task {task!r} needs at least 2 schedules")
-        means = {name: s.mean for name, s in sets.items()}
+        for schedule, values in by_schedule.items():
+            if not (isinstance(values, list) and len(values) >= 2 and all(map(_is_number, values))):
+                raise ValueError(
+                    f"task {task!r}, schedule {schedule!r}: need a list of at least "
+                    f"2 finite numbers, got {values!r}"
+                )
+        means = {name: math.fsum(values) / len(values) for name, values in by_schedule.items()}
         best = min(means, key=lambda name: (-means[name], name))
-        others = sorted(name for name in sets if name != best)
-        pvals = [one_sided_t(sets[name].values, sets[best].values) for name in others]
-        rejected_idx = hochberg(pvals, alpha)
-        rejected = {others[i] for i in rejected_idx}
-        parity = [best] + [name for name in others if name not in rejected]
-        report.tasks[task] = TaskComparison(
-            best=best,
-            means=means,
-            p_values=dict(zip(others, pvals)),
-            rejected=rejected,
-            parity=sorted(parity),
-        )
-    return report
+        others = sorted(name for name in by_schedule if name != best)
+        pvals = [one_sided_t(by_schedule[name], by_schedule[best]) for name in others]
+        rejected = sorted(others[i] for i in hochberg(pvals, alpha))
+        tasks[task] = {
+            "best": best,
+            "means": means,
+            "p_values": dict(zip(others, pvals)),
+            "rejected": rejected,
+            "parity": sorted(set(by_schedule) - set(rejected)),
+        }
+    return {"alpha": alpha, "tasks": tasks}
 
 
-def format_parity_text(report: SignificanceReport) -> str:
+def format_parity_text(report: dict) -> str:
     """Plain-text table; '*' marks parity with the task's best schedule."""
-    tasks = sorted(report.tasks)
-    schedules = sorted({name for t in tasks for name in report.tasks[t].means})
+    tasks = sorted(report["tasks"])
+    schedules = sorted({name for t in tasks for name in report["tasks"][t]["means"]})
     name_width = max([len("task")] + [len(t) for t in tasks])
     col_width = max([12] + [len(s) + 1 for s in schedules])
     lines = [
@@ -160,28 +133,15 @@ def format_parity_text(report: SignificanceReport) -> str:
     ]
     lines.append("-+-".join(["-" * name_width] + ["-" * col_width for _ in schedules]))
     for task in tasks:
-        cmp = report.tasks[task]
+        cmp = report["tasks"][task]
         cells = []
         for s in schedules:
-            if s not in cmp.means:
+            if s not in cmp["means"]:
                 cells.append("-".rjust(col_width))
                 continue
-            mark = "*" if s in cmp.parity else " "
-            cells.append(f"{mark}{cmp.means[s]:.4f}".rjust(col_width))
+            mark = "*" if s in cmp["parity"] else " "
+            cells.append(f"{mark}{cmp['means'][s]:.4f}".rjust(col_width))
         lines.append(" | ".join([task.ljust(name_width)] + cells))
     lines.append("* = no significant difference from the task's best mean "
-                 f"(one-sided Welch t, Hochberg-corrected, alpha={report.alpha:g})")
+                 f"(one-sided Welch t, Hochberg-corrected, alpha={report['alpha']:g})")
     return "\n".join(lines)
-
-
-def samples_from_json(doc: dict) -> list[SampleSet]:
-    """Parse {task: {schedule: [values]}} into SampleSets."""
-    out = []
-    for task, by_schedule in doc.items():
-        for schedule, values in by_schedule.items():
-            out.append(SampleSet(schedule=schedule, task=task, values=tuple(values)))
-    return out
-
-
-def report_json_text(report: SignificanceReport) -> str:
-    return json.dumps(report.to_json(), indent=2, sort_keys=True)

@@ -207,7 +207,7 @@ def test_c04_gradient_check():
         )
         report = grad_check(config, seed=0, n_coords=200, h=1e-4, tol=1e-5)
         assert report.n_coords >= 200
-        assert report.passed, f"worst {report.worst_rel_err:.3e} in {report.worst_name}"
+        assert report.passed, f"worst {report.worst_rel_err:.3e} in {report.worst_tensor}"
         assert report.worst_rel_err < 1e-5
 
 

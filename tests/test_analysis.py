@@ -69,7 +69,7 @@ class TestFit:
         fit1 = fit_speedup_curve(STEPS, values)
         perm = np.random.default_rng(0).permutation(STEPS.size)
         fit2 = fit_speedup_curve(STEPS[perm], values[perm])
-        assert fit1.to_json() == fit2.to_json()
+        assert fit1 == fit2
 
     def test_overflowing_trial_step_does_not_raise(self):
         fit = fit_speedup_curve(OVERFLOW_STEPS, OVERFLOW_VALUES)

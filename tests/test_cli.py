@@ -1,3 +1,5 @@
+import ctypes
+import hashlib
 import json
 import math
 import os
@@ -6,12 +8,14 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from masksched.cli import _JSON_TYPES, _SECTIONS, RunConfig, _fields, main
 from masksched.data import synthetic_zipf_corpus
 
 from fit_series import OVERFLOW_STEPS, OVERFLOW_VALUES
+from pinned_reports import COMPARE_STDOUT, GRADCHECK_STDOUT, SPEEDUP_STDOUT, SPEEDUP_SVG_SHA256
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +117,15 @@ class TestTrainCommand:
         assert main(["train", write_config(tmp_path, doc)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_duplicate_key_exits_2(self, corpus_path, tmp_path, capsys):
+        text = json.dumps(run_config(corpus_path, str(tmp_path / "run")))
+        text = text.replace('"seed": 3', '"seed": 1, "seed": 3')
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["train", str(path)]) == 2
+        assert "duplicate key 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_non_object_config_exits_2(self, tmp_path, capsys):
         assert main(["train", write_config(tmp_path, 5)]) == 2
         assert "run config must be a JSON object, got 5" in capsys.readouterr().err
@@ -203,6 +216,17 @@ class TestEvalCommand:
         assert set(report["super_tasks"]) == {"a", "b"}
         assert report["n_pairs"] == 2
 
+    @pytest.mark.parametrize("row", ["3\tb\tw001", "3\tb\tw001\t"])
+    def test_short_pairs_row_exits_2(self, trained, tmp_path, capsys, row):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(
+            "pair_id\tsuper_task\tsentence_good\tsentence_bad\n"
+            f"1\ta\tw000 w001\tw000 w024\n{row}\n",
+            encoding="utf-8",
+        )
+        assert main(["eval", "--checkpoint", trained, "--pairs", str(pairs)]) == 2
+        assert f"{pairs}, line 3: missing or empty ['sentence_bad']" in capsys.readouterr().err
+
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_bad_batch_size_exits_2(self, trained, corpus_path, capsys, size):
         code = main(
@@ -219,17 +243,19 @@ class TestEvalCommand:
         assert "rate" in capsys.readouterr().err
 
 
+COMPARE_SAMPLES = {
+    "glue": {
+        "linear-0.3-0.15": [84.2, 84.3, 84.35],
+        "constant-0.3": [84.1, 84.15, 84.12],
+        "constant-0.15": [83.8, 83.85, 83.8],
+    }
+}
+
+
 class TestCompareCommand:
     def test_report_and_table(self, tmp_path, capsys):
-        samples = {
-            "glue": {
-                "linear-0.3-0.15": [84.2, 84.3, 84.35],
-                "constant-0.3": [84.1, 84.15, 84.12],
-                "constant-0.15": [83.8, 83.85, 83.8],
-            }
-        }
         path = tmp_path / "samples.json"
-        path.write_text(json.dumps(samples), encoding="utf-8")
+        path.write_text(json.dumps(COMPARE_SAMPLES), encoding="utf-8")
         assert main(["compare", str(path), "--alpha", "0.05"]) == 0
         out = capsys.readouterr().out
         json_part = out.split("\n\n")[0]
@@ -241,6 +267,34 @@ class TestCompareCommand:
         path = tmp_path / "samples.json"
         path.write_text(json.dumps({"glue": {"only": [1.0, 2.0]}}), encoding="utf-8")
         assert main(["compare", str(path)]) == 2
+
+    def test_stdout_is_pinned(self, tmp_path, capsys):
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps(COMPARE_SAMPLES), encoding="utf-8")
+        assert main(["compare", str(path), "--alpha", "0.05"]) == 0
+        assert capsys.readouterr().out == COMPARE_STDOUT
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            '[1, 2]',
+            '{"glue": [1, 2, 3]}',
+            '{"glue": {"a": 5, "b": [1, 2]}}',
+            '{"glue": {"a": ["x", "y"], "b": [1, 2]}}',
+            '{"glue": {"a": [true, 1], "b": [1, 2]}}',
+        ],
+    )
+    def test_malformed_samples_exit_2(self, tmp_path, capsys, samples):
+        path = tmp_path / "samples.json"
+        path.write_text(samples, encoding="utf-8")
+        assert main(["compare", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_duplicate_schedule_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "samples.json"
+        path.write_text('{"glue": {"a": [1, 2], "b": [3, 4], "a": [5, 6]}}', encoding="utf-8")
+        assert main(["compare", str(path)]) == 2
+        assert "duplicate key 'a'" in capsys.readouterr().err
 
 
 class TestSpeedupCommand:
@@ -269,6 +323,22 @@ class TestSpeedupCommand:
         assert set(report["series"]) == {"fast", "base"}
         assert report["series"]["fast"]["speedup"] > 1.0
         assert svg.exists()
+
+    def test_stdout_and_plot_are_pinned(self, tmp_path, capsys):
+        path = self.write_series(tmp_path)
+        svg = tmp_path / "plot.svg"
+        assert main(["speedup", path, "--baseline", "base", "--plot", str(svg)]) == 0
+        assert capsys.readouterr().out == SPEEDUP_STDOUT
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == SPEEDUP_SVG_SHA256
+
+    @pytest.mark.parametrize(
+        "row, column", [("3,,s", "value"), ("3,0.3", "schedule"), (",0.3,s", "step")]
+    )
+    def test_short_row_exits_2(self, tmp_path, capsys, row, column):
+        path = tmp_path / "short.csv"
+        path.write_text(f"step,value,schedule\n1,0.1,s\n2,0.2,s\n{row}\n", encoding="utf-8")
+        assert main(["speedup", str(path), "--baseline", "s"]) == 2
+        assert f"{path}, line 4: missing or empty ['{column}']" in capsys.readouterr().err
 
     def test_overflowing_fit_exits_0(self, tmp_path, capsys):
         rows = ["step,value"] + [f"{s!r},{v!r}" for s, v in zip(OVERFLOW_STEPS, OVERFLOW_VALUES)]
@@ -301,6 +371,10 @@ class TestGradcheckCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
         assert report["worst_rel_err"] < 1e-5
+
+    def test_stdout_is_pinned(self, capsys):
+        assert main(["gradcheck", "--coords", "60"]) == 0
+        assert capsys.readouterr().out == GRADCHECK_STDOUT
 
 
 class TestVocabCommand:
@@ -342,6 +416,43 @@ class TestCrossProcessDeterminism:
             }
             snapshots.append((proc.stdout, files))
         assert snapshots[0] == snapshots[1]
+
+
+def _has_openblas_thread_setter() -> bool:
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return False
+    return hasattr(lib, "scipy_openblas_set_num_threads64_")
+
+
+class TestBlasThreadCount:
+    @pytest.mark.skipif(
+        not _has_openblas_thread_setter(), reason="numpy's BLAS has no thread setter"
+    )
+    def test_medium_shape_train_bytes_do_not_depend_on_it(self, tmp_path):
+        # At V = 2000 a threaded OpenBLAS splits the MLM head's backward
+        # product d @ W.T by thread count, which changes every gradient
+        # below the head unless the CLI pins BLAS to one thread.
+        lines = synthetic_zipf_corpus(400, n_word_types=1995, seed=0, min_len=20, max_len=62)
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "run"
+        doc = run_config(str(corpus), str(out), total_steps=3, checkpoint_every=3, eval_every=0)
+        doc["vocab_size"] = 2000
+        doc["model"] = {"n_layers": 1, "n_heads": 4, "d_model": 128, "d_ff": 512, "max_seq_len": 64}
+        doc["train"]["batch_size"] = 8
+        cfg = write_config(tmp_path, doc)
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS=threads)
+            cmd = [sys.executable, "-m", "masksched.cli", "train", cfg, "--force"]
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            runs.append(
+                {rel: (out / rel).read_bytes() for rel in ("metrics.jsonl", "checkpoints/step-3.ckpt")}
+            )
+        assert runs[0] == runs[1]
 
 
 class TestScheduleComparisonPipeline:

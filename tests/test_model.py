@@ -272,7 +272,7 @@ class TestBackward:
 
     def test_gradcheck_passes_on_tiny_config(self):
         report = grad_check(SMALL, seed=0, n_coords=120, h=1e-4, tol=1e-5)
-        assert report.passed, f"worst={report.worst_rel_err:.3e} in {report.worst_name}"
+        assert report.passed, f"worst={report.worst_rel_err:.3e} in {report.worst_tensor}"
 
     def test_gradcheck_flags_tiny_step(self):
         report = grad_check(TINY, seed=0, n_coords=4, h=1e-12, tol=1e-5)
@@ -330,4 +330,4 @@ class TestRealRows:
         _, real, targets = _gradcheck_case(SMALL, seed=1)
         assert not real.all() and set(targets) == {"mlm", "rts"}
         report = grad_check(SMALL, seed=1, n_coords=120, h=1e-4, tol=1e-5)
-        assert report.passed, f"worst={report.worst_rel_err:.3e} in {report.worst_name}"
+        assert report.passed, f"worst={report.worst_rel_err:.3e} in {report.worst_tensor}"

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from masksched.stats import (
-    SampleSet,
     format_parity_text,
     hochberg,
     one_sided_t,
     parity_table,
-    samples_from_json,
     welch_statistic,
 )
 
@@ -39,9 +37,7 @@ class TestTCdf:
 
 class TestOneSidedT:
     def test_identical_samples_give_half(self):
-        x = SampleSet("a", "t", (1.0, 2.0, 3.0))
-        y = SampleSet("b", "t", (1.0, 2.0, 3.0))
-        assert one_sided_t(x.values, y.values) == 0.5
+        assert one_sided_t((1.0, 2.0, 3.0), (1.0, 2.0, 3.0)) == 0.5
 
     def test_extreme_separation(self):
         p = one_sided_t((1.0, 2.0, 3.0), (101.0, 102.0, 103.0))
@@ -148,37 +144,29 @@ class TestHochberg:
 
 class TestParityTable:
     def test_identical_sets_share_parity(self):
-        samples = [
-            SampleSet("s1", "task", (1.0, 2.0, 3.0)),
-            SampleSet("s2", "task", (1.0, 2.0, 3.0)),
-        ]
-        report = parity_table(samples)
-        cmp = report.tasks["task"]
-        assert set(cmp.parity) == {"s1", "s2"}
-        assert cmp.best in cmp.parity
+        report = parity_table({"task": {"s1": [1.0, 2.0, 3.0], "s2": [1.0, 2.0, 3.0]}})
+        cmp = report["tasks"]["task"]
+        assert cmp["parity"] == ["s1", "s2"]
+        assert cmp["best"] in cmp["parity"]
 
     def test_dominating_schedule_is_singleton(self):
         rng = np.random.default_rng(3)
-        best = tuple(rng.normal(100.0, 0.01, 5))
-        worse1 = tuple(rng.normal(1.0, 0.01, 5))
-        worse2 = tuple(rng.normal(2.0, 0.01, 5))
-        report = parity_table(
-            [
-                SampleSet("big", "task", best),
-                SampleSet("low1", "task", worse1),
-                SampleSet("low2", "task", worse2),
-            ]
-        )
-        assert report.tasks["task"].parity == ["big"]
+        samples = {
+            "big": rng.normal(100.0, 0.01, 5).tolist(),
+            "low1": rng.normal(1.0, 0.01, 5).tolist(),
+            "low2": rng.normal(2.0, 0.01, 5).tolist(),
+        }
+        report = parity_table({"task": samples})
+        assert report["tasks"]["task"]["parity"] == ["big"]
+        assert report["tasks"]["task"]["rejected"] == ["low1", "low2"]
 
     def test_matches_independent_protocol(self):
         # desk-generated spreads around the headline means; the expected
         # parity pattern is recomputed here with scipy + a literal step-up
         rng = np.random.default_rng(11)
         means = {"lin": 84.29, "con3": 84.12, "con15": 83.83}
-        values = {k: tuple(rng.normal(m, 0.08, 5)) for k, m in means.items()}
-        samples = [SampleSet(k, "avg", v) for k, v in values.items()]
-        report = parity_table(samples, alpha=0.05)
+        values = {k: rng.normal(m, 0.08, 5).tolist() for k, m in means.items()}
+        report = parity_table({"avg": values}, alpha=0.05)
 
         best = max(values, key=lambda k: np.mean(values[k]))
         others = sorted(k for k in values if k != best)
@@ -196,31 +184,42 @@ class TestParityTable:
                 k_best = k
         expected_rejected = {others[order[i]] for i in range(k_best)}
         expected_parity = sorted({best} | (set(others) - expected_rejected))
-        assert report.tasks["avg"].parity == expected_parity
-        assert report.tasks["avg"].rejected == expected_rejected
+        assert report["tasks"]["avg"]["parity"] == expected_parity
+        assert report["tasks"]["avg"]["rejected"] == sorted(expected_rejected)
 
     def test_invariant_to_input_order(self):
         rng = np.random.default_rng(5)
-        samples = [
-            SampleSet(f"s{i}", "t", tuple(rng.normal(80 + i * 0.1, 0.2, 5))) for i in range(4)
-        ]
-        r1 = parity_table(samples)
-        r2 = parity_table(list(reversed(samples)))
-        assert r1.to_json() == r2.to_json()
+        samples = {f"s{i}": rng.normal(80 + i * 0.1, 0.2, 5).tolist() for i in range(4)}
+        r1 = parity_table({"t": samples})
+        r2 = parity_table({"t": dict(reversed(samples.items()))})
+        assert r1 == r2
 
     def test_text_table_marks_parity(self):
-        samples = [
-            SampleSet("good", "t", (5.0, 5.1, 5.2)),
-            SampleSet("bad", "t", (1.0, 1.1, 1.2)),
-        ]
+        samples = {"t": {"good": [5.0, 5.1, 5.2], "bad": [1.0, 1.1, 1.2]}}
         text = format_parity_text(parity_table(samples))
         assert "*" in text
         row = [l for l in text.splitlines() if l.startswith("t ")][0]
         assert "*5.1000" in row
         assert "*1.1000" not in row
 
-    def test_samples_from_json(self):
-        doc = {"taskA": {"s1": [1.0, 2.0], "s2": [2.0, 3.0]}}
-        samples = samples_from_json(doc)
-        assert {s.schedule for s in samples} == {"s1", "s2"}
-        assert all(s.task == "taskA" for s in samples)
+    def test_integer_samples_match_float_samples(self):
+        as_ints = parity_table({"taskA": {"s1": [1, 2], "s2": [2, 3]}})
+        as_floats = parity_table({"taskA": {"s1": [1.0, 2.0], "s2": [2.0, 3.0]}})
+        assert as_ints == as_floats
+
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            ([1, 2], "JSON object"),
+            ({"glue": [1, 2, 3]}, "JSON object"),
+            ({"glue": {"a": [1.0, 2.0]}}, "at least 2 schedules"),
+            ({"glue": {"a": 5, "b": [1, 2]}}, "'a'"),
+            ({"glue": {"a": ["x", "y"], "b": [1, 2]}}, "'a'"),
+            ({"glue": {"a": [1.0], "b": [1, 2]}}, "'a'"),
+            ({"glue": {"a": [1.0, math.nan], "b": [1, 2]}}, "'a'"),
+            ({"glue": {"a": [True, 1.0], "b": [1, 2]}}, "'a'"),
+        ],
+    )
+    def test_malformed_samples_raise(self, samples, message):
+        with pytest.raises(ValueError, match=message):
+            parity_table(samples)
