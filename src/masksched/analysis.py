@@ -18,7 +18,6 @@ standalone SVG 1.1, byte-deterministic for identical input.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
@@ -26,7 +25,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 from scipy.optimize import least_squares
 
-from .data import atomic_write
+from .data import atomic_write, read_table
 
 
 @dataclass
@@ -160,19 +159,12 @@ def speedup_from_steps(baseline_total_steps: float, crossover: float) -> float:
 def load_series_csv(path: str, default_name: str | None = None) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Read ``step,value[,schedule]`` rows into per-schedule arrays."""
     rows: dict[str, list[tuple[float, float]]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"step", "value"}.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: series CSV must have 'step' and 'value' columns")
-        columns = [c for c in ("step", "value", "schedule") if c in reader.fieldnames]
-        for row in reader:
-            empty = [c for c in columns if not row[c]]
-            if empty:
-                raise ValueError(f"{path}, line {reader.line_num}: missing or empty {empty}")
-            name = row.get("schedule", default_name or "series")
-            rows.setdefault(name, []).append((float(row["step"]), float(row["value"])))
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
+    for line, cells in read_table(path, ("step", "value"), optional=("schedule",)):
+        try:
+            point = (float(cells["step"]), float(cells["value"]))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {line}: {exc}") from None
+        rows.setdefault(cells.get("schedule", default_name or "series"), []).append(point)
     out = {}
     for name, pairs in rows.items():
         pairs.sort()

@@ -26,7 +26,7 @@ from .corruption import CorruptionConfig
 from .evaluate import EvalConfig
 from .model import ModelConfig
 from .schedule import ScheduleError, parse_schedule
-from .trainer import TrainConfig, TrainingDiverged
+from .trainer import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -98,8 +98,6 @@ def parse_run_config(doc: dict) -> RunConfig:
     _check_section(doc, "run config", RunConfig)
     for name, (classes, drop) in _SECTIONS.items():
         _check_section(doc.get(name, {}), f"{name} section", *classes, drop=drop)
-    if doc["vocab_size"] < 6:
-        raise ConfigError("vocab_size must be an integer >= 6")
     return RunConfig(**{key: dict(value) if key in _SECTIONS else value for key, value in doc.items()})
 
 
@@ -154,11 +152,16 @@ def cmd_train(args) -> int:
     model_cfg = dataclasses.replace(model_cfg, vocab_size=vocab.size)
     dataset = data.encode_corpus(vocab, lines, model_cfg.max_seq_len)
 
-    os.makedirs(out_dir, exist_ok=True)
-    with data.atomic_write(config_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(dataclasses.asdict(run), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    data.save_vocab(vocab, os.path.join(out_dir, "vocab.txt"))
+    vocab_path = os.path.join(out_dir, "vocab.txt")
+    if args.resume:
+        if data.load_vocab(vocab_path) != vocab:
+            raise ConfigError(f"the vocabulary of {run.corpus!r} differs from {vocab_path!r}")
+    else:
+        os.makedirs(out_dir, exist_ok=True)
+        with data.atomic_write(config_path, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(dataclasses.asdict(run), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        data.save_vocab(vocab, vocab_path)
 
     result = trainer.train(
         model_cfg,
@@ -328,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", help="evaluation corpus (one document per line)")
     p.add_argument("--vocab", help="vocab file; defaults to the run dir's vocab.txt")
-    p.add_argument("--rate", type=float, default=0.15, help="evaluation masking rate")
-    p.add_argument("--seed", type=int, default=0, help="mask seed")
-    p.add_argument("--batches", type=int, default=8, help="number of eval batches")
+    p.add_argument("--rate", type=float, default=EvalConfig.masking_rate, help="eval masking rate")
+    p.add_argument("--seed", type=int, default=EvalConfig.seed, help="mask seed")
+    p.add_argument("--batches", type=int, default=EvalConfig.n_batches, help="eval batches")
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--pairs", help="minimal-pair TSV file (pll scoring mode)")
     p.set_defaults(func=cmd_eval)
@@ -391,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     except (json.JSONDecodeError, FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TrainingDiverged, RuntimeError, OSError, ArithmeticError) as exc:
+    except (RuntimeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -58,7 +58,9 @@ class MaskOutcome:
     ``labels`` holds the original ids there. For RTS, ``mask_set`` is the
     substituted positions, ``loss_set`` is every maskable position and
     ``labels`` holds a 0/1 substitution flag per position. ``maskable``
-    counts the row's maskable positions. Position arrays are ascending.
+    counts the row's maskable positions. Position arrays are ascending. A
+    row with nothing to mask gets the empty outcome: itself as
+    ``corrupted``, empty index arrays and ``maskable == 0``.
     """
 
     corrupted: np.ndarray
@@ -84,12 +86,12 @@ def corrupt_batch(
     vocab_size: int,
     rngs: list[np.random.Generator],
     config: CorruptionConfig = CorruptionConfig(),
-) -> tuple[list[MaskOutcome | None], np.ndarray, np.ndarray]:
+) -> tuple[list[MaskOutcome], np.ndarray, np.ndarray]:
     """Corrupt row i with ``rngs[i]`` and right-pad the result.
 
     Returns the per-row outcomes and the padded (ids, real_mask). A row
-    with nothing to mask has outcome None and enters the batch unchanged;
-    it contributes context but no loss terms.
+    with nothing to mask gets the empty outcome and enters the batch
+    unchanged; it contributes context but no loss terms.
     """
     if not (0.0 <= rate <= 1.0):
         raise ValueError(f"rate out of [0,1]: {rate!r}")
@@ -99,11 +101,11 @@ def corrupt_batch(
         _corrupt_row(np.asarray(seq, dtype=np.int64), rate, vocab_size, rng, config)
         for seq, rng in zip(seqs, rngs, strict=True)
     ]
-    ids, real = pad_batch([seq if o is None else o.corrupted for seq, o in zip(seqs, outcomes)])
+    ids, real = pad_batch([o.corrupted for o in outcomes])
     return outcomes, ids, real
 
 
-def _corrupt_row(ids, rate, vocab_size, rng, config) -> MaskOutcome | None:
+def _corrupt_row(ids, rate, vocab_size, rng, config) -> MaskOutcome:
     """Select each maskable position independently with probability ``rate``.
 
     MLM: an empty draw with ``min_masked == 1`` force-includes one uniformly
@@ -118,8 +120,8 @@ def _corrupt_row(ids, rate, vocab_size, rng, config) -> MaskOutcome | None:
     """
     maskable = maskable_indices(ids)
     n = maskable.size
-    if n == 0:
-        return None
+    if n == 0:  # the empty outcome; ``maskable`` is an empty index array
+        return MaskOutcome(ids.copy(), maskable, maskable, maskable, 0)
     corrupted = ids.copy()
     hit = rng.random(n) < rate
     selected = maskable[hit]
@@ -141,17 +143,9 @@ def _corrupt_row(ids, rate, vocab_size, rng, config) -> MaskOutcome | None:
     return MaskOutcome(corrupted, selected, selected, ids[selected], n)
 
 
-def collate_targets(outcomes: list[MaskOutcome | None]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def collate_targets(outcomes: list[MaskOutcome]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flatten per-sequence loss sets into (labels, rows, cols) arrays."""
-    labels: list[np.ndarray] = []
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    for row, outcome in enumerate(outcomes):
-        if outcome is None or outcome.loss_set.size == 0:
-            continue
-        labels.append(outcome.labels)
-        rows.append(np.full(outcome.loss_set.size, row, dtype=np.int64))
-        cols.append(outcome.loss_set)
-    if not labels:
-        return (np.empty(0, dtype=np.int64),) * 3
-    return np.concatenate(labels), np.concatenate(rows), np.concatenate(cols)
+    sizes = [o.loss_set.size for o in outcomes]
+    rows = np.repeat(np.arange(len(outcomes), dtype=np.int64), sizes)
+    labels = np.concatenate([o.labels for o in outcomes])
+    return labels, rows, np.concatenate([o.loss_set for o in outcomes])

@@ -9,12 +9,13 @@ bit-exactly reproducible from the same inputs.
 
 from __future__ import annotations
 
+import csv
 import os
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -75,11 +76,9 @@ def build_vocab(corpus: Iterable[str], max_size: int) -> Vocab:
     if max_size < N_SPECIALS + 1:
         raise ValueError("vocab too small: max_size must be at least 6")
     counts: Counter[str] = Counter()
-    saw_line = False
     for line in corpus:
-        saw_line = True
         counts.update(line.lower().split())
-    if not saw_line or not counts:
+    if not counts:
         raise ValueError("empty corpus")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     kept = tuple(tok for tok, _ in ranked[: max_size - N_SPECIALS])
@@ -156,6 +155,35 @@ def save_vocab(vocab: Vocab, path: str) -> None:
     with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         for token in vocab.tokens:
             fh.write(token + "\n")
+
+
+def read_table(
+    path: str, required: Sequence[str], optional: Sequence[str] = (), delimiter: str = ","
+) -> list[tuple[int, dict[str, str]]]:
+    """(line, cells) for each data row of a UTF-8 delimited file with a
+    header row; ``cells`` maps the ``required`` columns, and the ``optional``
+    ones the header names, to their text. ``ValueError``, naming the file
+    and line, for a missing required column, a row with more cells than the
+    header, a missing or empty cell, or no data rows."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh, delimiter=delimiter)
+        header = reader.fieldnames or []
+        absent = [c for c in required if c not in header]
+        if absent:
+            raise ValueError(f"{path}: the header lacks the columns {absent}")
+        columns = [*required, *(c for c in optional if c in header)]
+        rows = []
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if None in row:
+                raise ValueError(f"{where}: more cells than the {len(header)} header columns")
+            empty = [c for c in columns if not row[c]]
+            if empty:
+                raise ValueError(f"{where}: missing or empty {empty}")
+            rows.append((reader.line_num, {c: row[c] for c in columns}))
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return rows
 
 
 def load_vocab(path: str) -> Vocab:

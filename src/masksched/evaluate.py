@@ -11,15 +11,14 @@ pair_id, super_task, sentence_good, sentence_bad.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import model
 from .corruption import collate_targets, corrupt_batch, maskable_indices
-from .data import MASK_ID, Vocab, counter_rng, encode
+from .data import MASK_ID, Vocab, counter_rng, encode, read_table
 from .model import ModelConfig, Params
 
 
@@ -79,7 +78,7 @@ def eval_mlm(
         rngs = [counter_rng(cfg.seed, "eval", b, r) for r in range(len(seqs))]
         outcomes, ids, real = corrupt_batch(seqs, cfg.masking_rate, config.vocab_size, rngs)
         for r, o in enumerate(outcomes):
-            if o is not None and o.loss_set.size:
+            if o.loss_set.size:
                 digest.update(np.asarray([r], dtype=np.int64).tobytes())
                 digest.update(o.mask_set.astype(np.int64).tobytes())
         labels, rows, cols = collate_targets(outcomes)
@@ -113,21 +112,8 @@ def pll(params: Params, config: ModelConfig, ids: np.ndarray) -> float:
 
 
 def load_minimal_pairs(path: str) -> list[MinimalPair]:
-    pairs = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, delimiter="\t")
-        required = {"pair_id", "super_task", "sentence_good", "sentence_bad"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"minimal-pair file must have columns {sorted(required)}")
-        for row in reader:
-            cells = {key: row[key] for key in sorted(required)}
-            empty = [key for key, cell in cells.items() if not cell]
-            if empty:
-                raise ValueError(f"{path}, line {reader.line_num}: missing or empty {empty}")
-            pairs.append(MinimalPair(**cells))
-    if not pairs:
-        raise ValueError("no minimal pairs in file")
-    return pairs
+    columns = [f.name for f in fields(MinimalPair)]
+    return [MinimalPair(**cells) for _, cells in read_table(path, columns, delimiter="\t")]
 
 
 def minimal_pair_accuracy(

@@ -132,30 +132,24 @@ def is_layer_norm(name: str) -> bool:
 _BIASES = (".bq", ".bk", ".bv", ".bo", ".b1", ".b2", ".b")
 
 
-def tensor_arena(
-    shapes: dict[str, tuple[int, ...]], copies: int = 1
-) -> tuple[np.ndarray, list[Params]]:
-    """A zeroed flat float64 buffer and, per copy, a dict of views into it.
+def tensor_arena(shapes: dict[str, tuple[int, ...]]) -> tuple[np.ndarray, Params]:
+    """A zeroed flat float64 buffer and a dict of views into it.
 
-    Each dict holds one C-order view per name, laid out back to back in
-    ``shapes`` order; copy i covers ``buffer[i * N:(i + 1) * N]`` with N the
-    total element count. Writes through a view land in the buffer.
+    The dict holds one C-order view per name, laid out back to back in
+    ``shapes`` order. Writes through a view land in the buffer.
     """
     sizes = [math.prod(shape) for shape in shapes.values()]
-    buffer = np.zeros(copies * sum(sizes))
-    copies_views: list[Params] = []
+    buffer = np.zeros(sum(sizes))
+    views: Params = {}
     offset = 0
-    for _ in range(copies):
-        views: Params = {}
-        for (name, shape), size in zip(shapes.items(), sizes):
-            views[name] = buffer[offset : offset + size].reshape(shape)
-            offset += size
-        copies_views.append(views)
-    return buffer, copies_views
+    for (name, shape), size in zip(shapes.items(), sizes):
+        views[name] = buffer[offset : offset + size].reshape(shape)
+        offset += size
+    return buffer, views
 
 
 def arena_buffer(tensors: Params) -> np.ndarray | None:
-    """The buffer of a one-copy ``tensor_arena`` dict, else None.
+    """The buffer of a ``tensor_arena`` dict, else None.
 
     The dict counts as an arena when every entry is a C-contiguous view of
     one flat float64 buffer and the entries' sizes add up to the buffer's,
@@ -182,7 +176,7 @@ def init_params(config: ModelConfig) -> Params:
     The tensors are views of one ``tensor_arena`` buffer.
     """
     rng = np.random.default_rng(config.init_seed)
-    _, (params,) = tensor_arena(param_shapes(config))
+    _, params = tensor_arena(param_shapes(config))
     for name, tensor in params.items():
         if is_layer_norm(name):
             tensor.fill(1.0 if name.endswith(".scale") else 0.0)
@@ -226,17 +220,10 @@ def _gelu_grad(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return phi + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
-def _scatter(x: np.ndarray, sel: np.ndarray, batch: int, length: int, fill=0.0):
-    """Rows (T, ...) -> (B, S, ...): row i lands at flat index ``sel[i]`` of
-    the batch, and every other row holds ``fill``."""
-    full = np.full((batch * length, *x.shape[1:]), fill)
-    full[sel] = x
-    return full.reshape(batch, length, *x.shape[1:])
-
-
 def _split_heads(x: np.ndarray, sel, batch: int, length: int, n_heads: int) -> np.ndarray:
     """Rows (T, d) -> heads (B, H, S, dh), zero at the rows outside ``sel``."""
-    full = _scatter(x, sel, batch, length)
+    full = np.zeros((batch * length, x.shape[1]))
+    full[sel] = x
     return full.reshape(batch, length, n_heads, -1).transpose(0, 2, 1, 3)
 
 
@@ -290,8 +277,11 @@ def forward(
     sel, cache = _encode(params, config, ids, real_mask, keep_activations=False)
     rows = slice(None) if positions is None else _head_rows(positions, real_mask, sel)
     logits = {head: _head_logits(params, head, cache["hfin"], rows) for head in heads}
-    if positions is None:
-        logits = {h: _scatter(x, sel, *real_mask.shape, fill=np.nan) for h, x in logits.items()}
+    if positions is None:  # back to (B, S, ...), NaN at padding
+        for head, x in logits.items():
+            full = np.full((real_mask.size, *x.shape[1:]), np.nan)
+            full[sel] = x
+            logits[head] = full.reshape(*real_mask.shape, *x.shape[1:])
     return ForwardOutput(**{head + "_logits": x for head, x in logits.items()}, cache=cache)
 
 
@@ -459,7 +449,7 @@ def _head_losses(params, config, ids, real_mask, targets, keep_activations):
 
 
 def _backward_from_heads(params, config, ids, sel, cache, d_logits) -> Params:
-    _, (grads,) = tensor_arena({name: tensor.shape for name, tensor in params.items()})
+    _, grads = tensor_arena({name: tensor.shape for name, tensor in params.items()})
     hfin = cache["hfin"]
     ids = np.asarray(ids, dtype=np.int64)
     batch, length = ids.shape

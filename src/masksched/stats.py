@@ -8,10 +8,11 @@ table). Higher metric values are treated as better. The Student-t CDF is
 scipy's ``stdtr``, the function ``scipy.stats.t.cdf`` evaluates.
 
 ``parity_table`` takes the ``compare`` samples, ``{task: {schedule:
-[values]}}``, exactly as JSON-loaded, and raises ``ValueError`` unless each
-task has at least 2 schedules and each schedule at least 2 finite numbers
-(a bool is not a number). It returns the report that ``masksched compare``
-prints as JSON and ``format_parity_text`` renders:
+[values]}}``, exactly as JSON-loaded, and raises ``ValueError`` unless it
+names at least one task, each task has at least 2 schedules and each
+schedule at least 2 finite numbers (a bool is not a number). It returns
+the report that ``masksched compare`` prints as JSON and
+``format_parity_text`` renders:
 
     {"alpha": alpha,
      "tasks": {task: {"best": schedule with the highest mean,
@@ -95,8 +96,10 @@ def parity_table(samples: dict, alpha: float = 0.05) -> dict:
     ``samples`` is the ``compare`` JSON document as loaded; the result is
     the report that ``compare`` prints (see the module docstring).
     """
-    if not isinstance(samples, dict) or not all(isinstance(s, dict) for s in samples.values()):
-        raise ValueError("samples must be a JSON object {task: {schedule: [values]}}")
+    if not (samples and isinstance(samples, dict)) or not all(
+        isinstance(s, dict) for s in samples.values()
+    ):
+        raise ValueError("samples must be a non-empty JSON object {task: {schedule: [values]}}")
     tasks = {}
     for task, by_schedule in samples.items():
         if len(by_schedule) < 2:

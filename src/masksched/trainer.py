@@ -6,10 +6,10 @@ checkpoint-resume split produces exactly the same bytes as an uninterrupted
 run. The optimizer state
 is stored in the checkpoint alongside the parameters.
 
-Parameters, gradients and the AdamW moments are flat float64 buffers with
-per-tensor views (``model.tensor_arena``); ``OptState`` keeps the parameter
-buffer and a separate [m | v] buffer, and ``adamw_step`` updates them block
-by block; dicts that are not such views are rejected.
+Parameters and gradients are flat float64 buffers with per-tensor views
+(``model.tensor_arena``); ``OptState`` keeps the parameter buffer and a
+separate [m | v] buffer of the AdamW moments, and ``adamw_step`` updates
+them block by block; dicts that are not such views are rejected.
 
 This module owns the checkpoint format, which is those two buffers behind
 one header line:
@@ -133,18 +133,17 @@ class OptState:
 
     ``params`` is the parameter buffer the params dict's entries view (see
     ``model.tensor_arena``). ``moments`` is a separate [m | v] buffer of 2N
-    floats, and ``m``/``v`` are per-tensor views of its halves in the same
-    order. The moments live apart from the parameters so that a caller that
-    keeps the params and drops the state (evaluation) frees them.
+    floats, each half laid out like the parameters. The moments live apart
+    from the parameters so that a caller that keeps the params and drops the
+    state (evaluation) frees them.
     """
 
     def __init__(self, params: Params, step: int = 0):
         buffer = model.arena_buffer(params)
         if buffer is None:
             raise ValueError("params are not views of one model.tensor_arena buffer")
-        shapes = {name: tensor.shape for name, tensor in params.items()}
         self.params = buffer
-        self.moments, (self.m, self.v) = model.tensor_arena(shapes, copies=2)
+        self.moments = np.zeros(2 * buffer.size)
         self.step = step
         self._decay = np.concatenate(
             [np.full(tensor.size, not model.is_layer_norm(name)) for name, tensor in params.items()]
@@ -321,7 +320,7 @@ def corrupt_batch(
     seed: int,
     step: int,
     config: CorruptionConfig,
-) -> tuple[list[MaskOutcome | None], np.ndarray, np.ndarray]:
+) -> tuple[list[MaskOutcome], np.ndarray, np.ndarray]:
     """``corruption.corrupt_batch`` with the per-(seed, step, row) generators."""
     rngs = [counter_rng(seed, "corruption", step, row) for row in range(len(seqs))]
     return corruption.corrupt_batch(seqs, rate, vocab_size, rngs, config)
@@ -388,7 +387,7 @@ def load_training_checkpoint(path: str) -> tuple[dict, Params, OptState]:
         }
         if header["tensors"] != _manifest(shapes):
             raise ValueError(f"tensors are not params, opt.m and opt.v in order: {path}")
-        _, (params,) = model.tensor_arena(shapes)
+        _, params = model.tensor_arena(shapes)
         opt = OptState(params, step=header["step"])
         for buffer in (opt.params, opt.moments):
             if fh.readinto(buffer) != buffer.nbytes:
@@ -457,11 +456,10 @@ def train(
         header, params, opt = load_training_checkpoint(resume_from)
         if not _headers_match(header, model_config, train_config):
             raise ValueError("config mismatch between checkpoint and requested run")
-        start = header["step"]
     else:
         params = model.init_params(model_config)
         opt = init_opt_state(params)
-        start = 0
+    start = opt.step
 
     metrics = RunMetrics()
     metrics_fh = None
@@ -512,7 +510,7 @@ def train(
             labels, rows, cols = collate_targets(outcomes)
             if labels.size == 0:
                 raise TrainingDiverged(t, "loss undefined: no maskable positions in batch")
-            maskable_total = sum(o.maskable for o in outcomes if o is not None)
+            maskable_total = sum(o.maskable for o in outcomes)
             fraction = train_config.corruption.subset_loss_fraction
             if fraction is not None:
                 labels, rows, cols = restrict_loss_budget(
@@ -533,7 +531,7 @@ def train(
             adamw_step(params, grads, opt, record.lr, train_config)
 
             record.loss = loss
-            record.masked = sum(o.mask_set.size for o in outcomes if o is not None)
+            record.masked = sum(o.mask_set.size for o in outcomes)
             record.maskable = maskable_total
             record.loss_positions = labels.size
             if t == stop - 1 and stop == total:

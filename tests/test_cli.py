@@ -170,6 +170,37 @@ class TestTrainCommand:
         assert main(["train", write_config(tmp_path, doc), "--force"]) == 0
         assert sorted(os.listdir(out / "checkpoints")) == ["step-2.ckpt", "step-4.ckpt"]
 
+    def test_vocab_size_below_six_exits_2_before_the_corpus_is_read(self, tmp_path, capsys):
+        doc = run_config(str(tmp_path / "missing.txt"), str(tmp_path / "run"))
+        doc["vocab_size"] = 5
+        assert main(["train", write_config(tmp_path, doc)]) == 2
+        assert "vocab_size must exceed the special-token count" in capsys.readouterr().err
+
+    def split_run(self, corpus_path, tmp_path, resume_corpus):
+        """Train 2 of 8 steps on ``corpus_path``, then resume from step 2
+        with a config that names ``resume_corpus``; returns the exit code."""
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, run_config(corpus_path, str(out)))
+        assert main(["train", cfg, "--stop-after", "2"]) == 0
+        resume = write_config(tmp_path, run_config(resume_corpus, str(out)), "resume.json")
+        return main(["train", resume, "--resume", str(out / "checkpoints" / "step-2.ckpt")])
+
+    def test_resume_on_the_same_corpus_finishes_the_run(self, corpus_path, tmp_path, capsys):
+        assert self.split_run(corpus_path, tmp_path, corpus_path) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["steps"] == 8
+
+    def test_resume_on_a_corpus_with_another_vocabulary_exits_2(
+        self, corpus_path, tmp_path, capsys
+    ):
+        # the same word counts under other names: same vocab size, other tokens
+        other = tmp_path / "other.txt"
+        other.write_text(Path(corpus_path).read_text(encoding="utf-8").replace("w", "x"))
+        assert self.split_run(corpus_path, tmp_path, str(other)) == 2
+        assert "differs from" in capsys.readouterr().err
+        out = tmp_path / "run"
+        assert "x000" not in (out / "vocab.txt").read_text(encoding="utf-8")
+        assert json.loads((out / "config.json").read_text())["corpus"] == corpus_path
+
     def test_config_round_trip(self, corpus_path, tmp_path):
         out = tmp_path / "run"
         doc = run_config(corpus_path, str(out))
@@ -226,6 +257,16 @@ class TestEvalCommand:
         )
         assert main(["eval", "--checkpoint", trained, "--pairs", str(pairs)]) == 2
         assert f"{pairs}, line 3: missing or empty ['sentence_bad']" in capsys.readouterr().err
+
+    def test_pairs_row_with_an_extra_cell_exits_2(self, trained, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(
+            "pair_id\tsuper_task\tsentence_good\tsentence_bad\n"
+            "1\ta\tw000 w001\tw000 w024\n2\tb\tw001\tw024\textra\n",
+            encoding="utf-8",
+        )
+        assert main(["eval", "--checkpoint", trained, "--pairs", str(pairs)]) == 2
+        assert f"{pairs}, line 3: more cells than the 4 header columns" in capsys.readouterr().err
 
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_bad_batch_size_exits_2(self, trained, corpus_path, capsys, size):
@@ -290,6 +331,12 @@ class TestCompareCommand:
         assert main(["compare", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_samples_without_tasks_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "samples.json"
+        path.write_text("{}", encoding="utf-8")
+        assert main(["compare", str(path)]) == 2
+        assert "non-empty JSON object" in capsys.readouterr().err
+
     def test_duplicate_schedule_exits_2(self, tmp_path, capsys):
         path = tmp_path / "samples.json"
         path.write_text('{"glue": {"a": [1, 2], "b": [3, 4], "a": [5, 6]}}', encoding="utf-8")
@@ -339,6 +386,19 @@ class TestSpeedupCommand:
         path.write_text(f"step,value,schedule\n1,0.1,s\n2,0.2,s\n{row}\n", encoding="utf-8")
         assert main(["speedup", str(path), "--baseline", "s"]) == 2
         assert f"{path}, line 4: missing or empty ['{column}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("3,0.3,s,extra", "more cells than the 3 header columns"),
+            ("3,abc,s", "could not convert string to float: 'abc'"),
+        ],
+    )
+    def test_bad_row_exits_2_naming_file_and_line(self, tmp_path, capsys, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"step,value,schedule\n1,0.1,s\n2,0.2,s\n{row}\n", encoding="utf-8")
+        assert main(["speedup", str(path), "--baseline", "s"]) == 2
+        assert f"{path}, line 4: {message}" in capsys.readouterr().err
 
     def test_overflowing_fit_exits_0(self, tmp_path, capsys):
         rows = ["step,value"] + [f"{s!r},{v!r}" for s, v in zip(OVERFLOW_STEPS, OVERFLOW_VALUES)]

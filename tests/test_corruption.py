@@ -28,6 +28,15 @@ def corrupt_row(ids, rate, generator, cfg=CorruptionConfig(), vocab_size=VOCAB_S
     return outcomes[0]
 
 
+def assert_empty_outcome(out, ids):
+    """``out`` is the outcome of a row with nothing to mask: the row itself,
+    no positions and no labels."""
+    np.testing.assert_array_equal(out.corrupted, ids)
+    for positions in (out.mask_set, out.loss_set, out.labels):
+        assert positions.size == 0 and positions.dtype == np.int64
+    assert out.maskable == 0
+
+
 def make_sequence(n_tokens, seed=1, pad=0):
     r = np.random.default_rng(seed)
     body = r.integers(N_SPECIALS, VOCAB_SIZE, size=n_tokens)
@@ -207,9 +216,13 @@ class TestInvariants:
         sigma = math.sqrt(rate * (1 - rate) / total_maskable)
         assert abs(total_masked / total_maskable - rate) < 4 * sigma
 
-    def test_unmaskable_sequence_returns_none(self):
-        ids = np.array([CLS_ID, SEP_ID])
-        assert corrupt_row(ids, 0.3, rng()) is None
+    def test_unmaskable_sequence_gets_the_empty_outcome(self):
+        ids = np.array([CLS_ID, SEP_ID, PAD_ID])
+        for cfg in (CorruptionConfig(), RTS):
+            generator = rng()
+            state = generator.bit_generator.state
+            assert_empty_outcome(corrupt_row(ids, 0.3, generator, cfg), ids)
+            assert generator.bit_generator.state == state, "a draw was made"
 
     def test_subset_mode_shrinks_loss_set(self):
         seqs = [make_sequence(100, seed=s) for s in range(3)]
@@ -227,9 +240,21 @@ class TestCorruptBatch:
         seqs = [make_sequence(n, seed=n, pad=2) for n in (3, 9, 20)] + [np.array([CLS_ID, SEP_ID])]
         cfg = CorruptionConfig(objective=objective)
         outcomes, _, _ = corrupt_batch(seqs, 0.3, VOCAB_SIZE, [rng(s) for s in range(4)], cfg)
-        assert outcomes[-1] is None
-        for seq, out in zip(seqs[:-1], outcomes[:-1]):
+        assert_empty_outcome(outcomes[-1], seqs[-1])
+        for seq, out in zip(seqs, outcomes):
             assert out.maskable == maskable_indices(seq).size
+
+    def test_collate_targets_flattens_rows_in_order(self):
+        seqs = [make_sequence(6, seed=1), np.array([CLS_ID, SEP_ID]), make_sequence(9, seed=2)]
+        outcomes, _, _ = corrupt_batch(seqs, 0.5, VOCAB_SIZE, [rng(s) for s in range(3)])
+        labels, rows, cols = collate_targets(outcomes)
+        want = [
+            (label, row, col)
+            for row, o in enumerate(outcomes)
+            for label, col in zip(o.labels, o.loss_set)
+        ]
+        assert want and list(zip(labels, rows, cols)) == want
+        assert all(a.dtype == np.int64 for a in (labels, rows, cols))
 
     def test_invalid_config_rejected(self):
         # a config is checked when built, so no invalid one reaches a batch
@@ -253,10 +278,11 @@ _GOLDEN_ROW0_MLM = (
     [38, 47, 11, 47, 44, 17, 6],
     24,
 )
+_GOLDEN_EMPTY = ([2, 3, 0], [], [], [], 0)
 _GOLDEN = {
-    # (corrupted, mask_set, loss_set, labels, maskable) per row; None: no outcome
-    "mlm-min0": [_GOLDEN_ROW0_MLM, ([2, 42, 16, 9, 3], [], [], [], 3), None],
-    "mlm-min1": [_GOLDEN_ROW0_MLM, ([2, 42, 16, 1, 3], [3], [3], [9], 3), None],
+    # (corrupted, mask_set, loss_set, labels, maskable) per row
+    "mlm-min0": [_GOLDEN_ROW0_MLM, ([2, 42, 16, 9, 3], [], [], [], 3), _GOLDEN_EMPTY],
+    "mlm-min1": [_GOLDEN_ROW0_MLM, ([2, 42, 16, 1, 3], [3], [3], [9], 3), _GOLDEN_EMPTY],
     "rts": [
         (
             [2, 26, 28, 18, 7, 6, 43, 42, 46, 16, 19, 19, 24, 34, 42, 16, 23, 33, 29, 8, 13, 43, 38, 42, 29, 3, 0, 0],
@@ -266,7 +292,7 @@ _GOLDEN = {
             24,
         ),
         ([2, 42, 16, 9, 3], [], [1, 2, 3], [0, 0, 0], 3),
-        None,
+        _GOLDEN_EMPTY,
     ],
 }
 
@@ -281,10 +307,6 @@ def test_corrupt_batch_golden(case):
     seqs = [np.array(s, dtype=np.int64) for s in _GOLDEN_SEQS]
     outcomes, ids, real = corrupt_batch(seqs, 0.25, VOCAB_SIZE, [rng(s) for s in (12, 13, 14)], cfg)
     for row, (out, want) in enumerate(zip(outcomes, _GOLDEN[case], strict=True)):
-        if want is None:
-            assert out is None
-            np.testing.assert_array_equal(ids[row, : seqs[row].size], seqs[row])
-            continue
         corrupted, mask_set, loss_set, labels, maskable = want
         np.testing.assert_array_equal(out.corrupted, corrupted)
         np.testing.assert_array_equal(out.mask_set, np.array(mask_set, dtype=np.int64))

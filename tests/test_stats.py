@@ -218,6 +218,7 @@ class TestParityTable:
             ({"glue": {"a": [1.0], "b": [1, 2]}}, "'a'"),
             ({"glue": {"a": [1.0, math.nan], "b": [1, 2]}}, "'a'"),
             ({"glue": {"a": [True, 1.0], "b": [1, 2]}}, "'a'"),
+            ({}, "non-empty JSON object"),
         ],
     )
     def test_malformed_samples_raise(self, samples, message):
