@@ -3,7 +3,9 @@
 log eval-loss trajectories, and emit the speedup-analysis inputs.
 
 Writes, under --out:
-  <schedule>/            one run dir per schedule (config, metrics, ckpts)
+  <schedule>/seed<k>/    one run dir per schedule and seed (vocab.txt,
+                         metrics.jsonl, checkpoints/), which
+                         `masksched eval --checkpoint` reads as it is
   eval_series.csv        step,value,schedule rows (value = -eval_loss,
                          "higher is better" for the curve fit)
   final_losses.json      {"eval_loss": {schedule: [per-seed values]}} for
@@ -16,7 +18,7 @@ import json
 import os
 
 from masksched.corruption import CorruptionConfig
-from masksched.data import build_vocab, encode_corpus, synthetic_zipf_corpus
+from masksched.data import atomic_write, build_vocab, encode_corpus, synthetic_zipf_corpus
 from masksched.evaluate import EvalConfig
 from masksched.model import ModelConfig
 from masksched.schedule import parse_schedule
@@ -66,11 +68,12 @@ def main() -> None:
             finals[name].append(evals[-1][1])
             print(f"{name} seed {seed}: final eval loss {evals[-1][1]:.4f}")
 
-    with open(os.path.join(args.out, "eval_series.csv"), "w", newline="") as fh:
+    series_path = os.path.join(args.out, "eval_series.csv")
+    with atomic_write(series_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "value", "schedule"])
         writer.writerows(series_rows)
-    with open(os.path.join(args.out, "final_losses.json"), "w") as fh:
+    with atomic_write(os.path.join(args.out, "final_losses.json"), "w", encoding="utf-8") as fh:
         # negate so "higher is better" matches the compare convention
         json.dump({"eval_loss": {k: [-v for v in vs] for k, vs in finals.items()}}, fh, indent=2)
     print(f"series and samples written under {args.out}")

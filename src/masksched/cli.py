@@ -152,16 +152,11 @@ def cmd_train(args) -> int:
     model_cfg = dataclasses.replace(model_cfg, vocab_size=vocab.size)
     dataset = data.encode_corpus(vocab, lines, model_cfg.max_seq_len)
 
-    vocab_path = os.path.join(out_dir, "vocab.txt")
-    if args.resume:
-        if data.load_vocab(vocab_path) != vocab:
-            raise ConfigError(f"the vocabulary of {run.corpus!r} differs from {vocab_path!r}")
-    else:
+    if not args.resume:
         os.makedirs(out_dir, exist_ok=True)
         with data.atomic_write(config_path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(dataclasses.asdict(run), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        data.save_vocab(vocab, vocab_path)
 
     result = trainer.train(
         model_cfg,
@@ -203,8 +198,6 @@ def _load_eval_context(args):
 
 
 def cmd_eval(args) -> int:
-    if args.pairs is None and args.corpus is None:
-        raise ConfigError("eval needs --corpus (MLM loss) or --pairs (minimal pairs)")
     header, params, model_cfg, vocab = _load_eval_context(args)
     if args.pairs is not None:
         pairs = evaluate.load_minimal_pairs(args.pairs)
@@ -329,13 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="fixed-rate MLM loss or minimal-pair accuracy")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--corpus", help="evaluation corpus (one document per line)")
+    task = p.add_mutually_exclusive_group(required=True)
+    task.add_argument("--corpus", help="evaluation corpus (one document per line)")
+    task.add_argument("--pairs", help="minimal-pair TSV file (pll scoring mode)")
     p.add_argument("--vocab", help="vocab file; defaults to the run dir's vocab.txt")
     p.add_argument("--rate", type=float, default=EvalConfig.masking_rate, help="eval masking rate")
     p.add_argument("--seed", type=int, default=EvalConfig.seed, help="mask seed")
     p.add_argument("--batches", type=int, default=EvalConfig.n_batches, help="eval batches")
     p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--pairs", help="minimal-pair TSV file (pll scoring mode)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="significance report from per-seed metric samples")

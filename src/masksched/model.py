@@ -563,6 +563,10 @@ def grad_check(
     of |analytic|, |numeric|, and the max-magnitude analytic entry of the
     owning tensor, so near-zero coordinates do not blow up the ratio.
     """
+    if n_coords < 0:
+        raise ValueError(f"n_coords must be >= 0, got {n_coords}")
+    if not (0 < h < math.inf and 0 < tol < math.inf):
+        raise ValueError(f"h and tol must be finite and > 0, got h={h!r}, tol={tol!r}")
     report = GradCheckReport(passed=True, worst_rel_err=0.0, n_coords=n_coords, tol=tol, h=h)
     if h < 1e-8:
         report.warnings.append(

@@ -22,10 +22,10 @@ one header line:
     params, moments: ``OptState.params``, then ``OptState.moments``, as
         little-endian float64; that is every tensor in "tensors" order.
 
-Run directory layout: config.json, vocab.txt, metrics.jsonl,
-checkpoints/step-N.ckpt. Metrics records are JSON lines with keys
-{step, rate, lr, loss, eval_loss?, wall_ms?}; wall_ms is written only when
-timing logging is enabled so that reruns are byte-identical by default.
+``train`` owns its run directory: vocab.txt, metrics.jsonl and
+checkpoints/step-N.ckpt; the CLI adds config.json. Metrics records are
+JSON lines with keys {step, rate, lr, loss, eval_loss?, wall_ms?}; wall_ms
+is written only with timing logging on, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .corruption import (
     collate_targets,
     round_half_up,
 )
-from .data import Vocab, atomic_write, counter_rng, epoch_permutation
+from .data import Vocab, atomic_write, counter_rng, epoch_permutation, load_vocab, save_vocab
 from .evaluate import EvalConfig
 from .model import ModelConfig, Params
 from .schedule import ScheduleSpec, masking_rate, schedule_name
@@ -435,13 +435,14 @@ def train(
     stop_after: int | None = None,
     log_timings: bool = False,
 ) -> TrainResult:
-    """Run (part of) a training job.
+    """Run (part of) a training job in ``out_dir``, which it owns.
 
     ``stop_after`` ends the loop early at the given step so a run can be
-    split and resumed; the final post-run evaluation and checkpoint happen
-    only when the stop point is the configured total. A run that does not
-    resume starts ``out_dir``'s metrics afresh and removes the checkpoints an
-    earlier run left there.
+    split and resumed. The run always ends by checkpointing ``opt.step``,
+    and evaluates after its last step only at the configured total. A fresh
+    run writes ``vocab.txt``, starts the metrics afresh and removes an
+    earlier run's checkpoints; a resumed run raises ``ValueError`` before
+    it touches a file if ``vocab`` differs from ``vocab.txt``.
     """
     if stop_after is not None and stop_after < 0:
         raise ValueError("stop_after must be >= 0")
@@ -459,20 +460,21 @@ def train(
     else:
         params = model.init_params(model_config)
         opt = init_opt_state(params)
-    start = opt.step
 
     metrics = RunMetrics()
     metrics_fh = None
     ckpt_dir = None
-    final_ckpt = None
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+        vocab_path = os.path.join(out_dir, "vocab.txt")
+        if resume_from is not None and load_vocab(vocab_path) != vocab:
+            raise ValueError(f"the given vocabulary differs from {vocab_path!r}")
         ckpt_dir = os.path.join(out_dir, "checkpoints")
         os.makedirs(ckpt_dir, exist_ok=True)
         metrics_path = os.path.join(out_dir, "metrics.jsonl")
         if resume_from is not None:
-            _cut_metrics(metrics_path, start)
+            _cut_metrics(metrics_path, opt.step)
         else:
+            save_vocab(vocab, vocab_path)
             for path in glob.glob(os.path.join(glob.escape(ckpt_dir), "step-*.ckpt")):
                 os.remove(path)
         metrics_fh = open(metrics_path, "ab" if resume_from is not None else "wb")
@@ -490,16 +492,13 @@ def train(
         return path
 
     try:
-        if total == 0 or start >= stop:
-            final_ckpt = save_step_checkpoint(start)
-            return TrainResult(params, opt, metrics, final_ckpt)
-
-        eval_every = train_config.eval_every
-        for t in range(start, stop):
+        eval_every, checkpoint_every = train_config.eval_every, train_config.checkpoint_every
+        for t in range(opt.step, stop):
             t0 = time.perf_counter()
             rate = masking_rate(train_config.schedule, t)
             record = MetricsRecord(step=t, rate=rate, lr=lr_at(train_config, t), loss=math.nan)
-            if eval_every and t % eval_every == 0:
+            # the last step evaluates once, after its update
+            if eval_every and t % eval_every == 0 and t != total - 1:
                 record.eval_loss = run_eval(params)
 
             idx = batch_indices(len(dataset), train_config.batch_size, train_config.seed, t)
@@ -509,7 +508,7 @@ def train(
             )
             labels, rows, cols = collate_targets(outcomes)
             if labels.size == 0:
-                raise TrainingDiverged(t, "loss undefined: no maskable positions in batch")
+                raise TrainingDiverged(t, f"loss undefined: no position masked at rate {rate!r}")
             maskable_total = sum(o.maskable for o in outcomes)
             fraction = train_config.corruption.subset_loss_fraction
             if fraction is not None:
@@ -534,7 +533,7 @@ def train(
             record.masked = sum(o.mask_set.size for o in outcomes)
             record.maskable = maskable_total
             record.loss_positions = labels.size
-            if t == stop - 1 and stop == total:
+            if t == total - 1:
                 record.eval_loss = run_eval(params)
             record.wall_ms = (time.perf_counter() - t0) * 1000.0
             metrics.append(record)
@@ -542,10 +541,9 @@ def train(
                 metrics_fh.write((record.to_json(log_timings) + "\n").encode("utf-8"))
 
             done = t + 1
-            if (
-                train_config.checkpoint_every and done % train_config.checkpoint_every == 0
-            ) or done == stop:
-                final_ckpt = save_step_checkpoint(done)
+            if checkpoint_every and done % checkpoint_every == 0 and done < stop:
+                save_step_checkpoint(done)
+        final_ckpt = save_step_checkpoint(opt.step)
     finally:
         if metrics_fh is not None:
             metrics_fh.close()

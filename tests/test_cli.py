@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,8 +12,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from masksched.cli import _JSON_TYPES, _SECTIONS, RunConfig, _fields, main
+from masksched import data
+from masksched.cli import (
+    _JSON_TYPES,
+    _SECTIONS,
+    RunConfig,
+    _fields,
+    build_configs,
+    main,
+    parse_run_config,
+)
 from masksched.data import synthetic_zipf_corpus
+from masksched.trainer import train
 
 from fit_series import OVERFLOW_STEPS, OVERFLOW_VALUES
 from pinned_reports import COMPARE_STDOUT, GRADCHECK_STDOUT, SPEEDUP_STDOUT, SPEEDUP_SVG_SHA256
@@ -207,8 +218,6 @@ class TestTrainCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["train", cfg]) == 0
         written = json.loads((out / "config.json").read_text())
-        from masksched.cli import parse_run_config
-
         assert parse_run_config(written) == parse_run_config(doc)
 
 
@@ -246,6 +255,26 @@ class TestEvalCommand:
         report = json.loads(capsys.readouterr().out)
         assert set(report["super_tasks"]) == {"a", "b"}
         assert report["n_pairs"] == 2
+
+    def test_library_run_dir_evaluates_without_vocab(self, corpus_path, tmp_path, capsys):
+        run = tmp_path / "run"
+        model_cfg, train_cfg = build_configs(parse_run_config(run_config(corpus_path, str(run))))
+        lines = data.load_corpus(corpus_path)
+        vocab = data.build_vocab(lines, model_cfg.vocab_size)
+        model_cfg = dataclasses.replace(model_cfg, vocab_size=vocab.size)
+        dataset = data.encode_corpus(vocab, lines, model_cfg.max_seq_len)
+        train(model_cfg, train_cfg, dataset, vocab, out_dir=str(run))
+        assert data.load_vocab(str(run / "vocab.txt")) == vocab
+        ckpt = str(run / "checkpoints" / "step-4.ckpt")
+        assert main(["eval", "--checkpoint", ckpt, "--corpus", corpus_path]) == 0
+        assert json.loads(capsys.readouterr().out)["step"] == 4
+
+    @pytest.mark.parametrize("task", [[], ["--corpus", "c.txt", "--pairs", "p.tsv"]])
+    def test_not_exactly_one_of_corpus_and_pairs_exits_2(self, trained, task, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "--checkpoint", trained, *task])
+        assert info.value.code == 2
+        assert "--corpus" in capsys.readouterr().err
 
     @pytest.mark.parametrize("row", ["3\tb\tw001", "3\tb\tw001\t"])
     def test_short_pairs_row_exits_2(self, trained, tmp_path, capsys, row):
@@ -436,6 +465,21 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--coords", "60"]) == 0
         assert capsys.readouterr().out == GRADCHECK_STDOUT
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--coords", "-5", "n_coords must be >= 0"),
+            ("--h", "0", "h and tol must be finite and > 0"),
+            ("--h", "nan", "h and tol must be finite and > 0"),
+            ("--tol", "0", "h and tol must be finite and > 0"),
+        ],
+    )
+    def test_bad_input_exits_2(self, flag, value, message, capsys):
+        assert main(["gradcheck", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestVocabCommand:
     def test_writes_vocab_file(self, corpus_path, tmp_path, capsys):
@@ -539,3 +583,10 @@ class TestScheduleComparisonPipeline:
         speedup = json.loads(capsys.readouterr().out)
         assert speedup["baseline"] == "constant-0.15"
         assert ET.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg"
+
+        # each run dir is one `masksched eval` reads without --vocab
+        ckpt = out / "linear-0.3-0.15" / "seed1" / "checkpoints" / "step-16.ckpt"
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("w000 w001 w002 w003\n", encoding="utf-8")
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus)]) == 0
+        assert json.loads(capsys.readouterr().out)["step"] == 16

@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from masksched import trainer
+from masksched import evaluate, trainer
 from masksched.corruption import CorruptionConfig, round_half_up
-from masksched.data import build_vocab, encode_corpus, synthetic_zipf_corpus
-from masksched.evaluate import EvalConfig
+from masksched.data import Vocab, build_vocab, encode_corpus, synthetic_zipf_corpus
+from masksched.evaluate import EvalConfig, eval_mlm
 from masksched.model import ModelConfig, init_params, tensor_arena
 from masksched.schedule import parse_schedule
 from masksched.trainer import (
@@ -448,6 +448,29 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="config mismatch"):
             train(MODEL, altered, dataset, vocab, resume_from=ckpt)
 
+    def test_resume_with_another_vocabulary_rejected_before_any_write(self, toy, tmp_path):
+        vocab, dataset = toy
+        cfg = config(total_steps=4, checkpoint_every=2)
+        run = tmp_path / "run"
+        train(MODEL, cfg, dataset, vocab, out_dir=str(run))
+        before = {p: p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()}
+        assert {p.relative_to(run).as_posix() for p in before} == {
+            "vocab.txt", "metrics.jsonl", "checkpoints/step-2.ckpt", "checkpoints/step-4.ckpt"
+        }
+        tokens = list(vocab.tokens)
+        tokens[-2:] = tokens[-1], tokens[-2]  # the same size, two ids swapped
+        with pytest.raises(ValueError, match="differs from"):
+            train(
+                MODEL,
+                cfg,
+                dataset,
+                Vocab(tuple(tokens)),
+                out_dir=str(run),
+                resume_from=str(run / "checkpoints" / "step-2.ckpt"),
+            )
+        after = {p: p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()}
+        assert after == before
+
     def test_resume_from_final_step_is_noop(self, toy, tmp_path):
         vocab, dataset = toy
         cfg = config(total_steps=6, checkpoint_every=6)
@@ -494,6 +517,29 @@ class TestTrainLoop:
             assert record["step"] == i
         assert "eval_loss" in json.loads(lines[0])
         assert "eval_loss" in json.loads(lines[-1])
+
+    def test_every_step_evaluates_once(self, toy, monkeypatch):
+        vocab, dataset = toy
+        calls = []
+
+        def counting_eval(*args, **kwargs):
+            calls.append(None)
+            return eval_mlm(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "eval_mlm", counting_eval)
+        result = train(MODEL, config(total_steps=4, eval_every=1), dataset, vocab)
+        assert len(calls) == 4
+        assert all(r.eval_loss is not None for r in result.metrics.records)
+
+    def test_no_masked_position_names_the_rate(self, toy):
+        vocab, dataset = toy
+        cfg = config(
+            total_steps=4, schedule="constant-0.0", corruption=CorruptionConfig(min_masked=0)
+        )
+        # every row has maskable tokens, but rate 0 and no forced mask leave none masked
+        message = r"^diverged at step 0: loss undefined: no position masked at rate 0\.0$"
+        with pytest.raises(TrainingDiverged, match=message):
+            train(MODEL, cfg, dataset, vocab)
 
 
 class TestCheckpointContents:
