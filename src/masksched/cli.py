@@ -169,7 +169,7 @@ def cmd_train(args) -> int:
         log_timings=args.timings,
     )
     summary = {
-        "steps": result.opt.step,
+        "steps": result.step,
         "final_checkpoint": result.final_checkpoint,
     }
     if result.metrics.records:

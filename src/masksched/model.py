@@ -11,11 +11,19 @@ projections, the feed-forward and the heads) on a packed (T, d) array of
 the T real rows alone. Nothing reads a pad row's result: padded keys get
 exactly zero attention and pad rows carry no loss, so leaving them out
 changes only the order of float sums. Attention alone scatters Q, K and V
-back to (B, H, S, dh) and gathers its context back to the T rows. Every
+back to (B, H, S, dh) and gathers its context back to the rows. Every
 batch takes this one path, an unpadded one (as in PLL) included, where the
-index simply lists every row. Each layer runs in its own call, so a
-forward-only call keeps no layer's activations past the layer; they are
-kept only for ``backward``.
+index simply lists every row.
+
+The last layer goes one step further, because only the heads read its
+output: it makes K and V for all T real rows, but its queries, attention
+output and residual, feed-forward and the final layer norm run on the
+scored rows alone, the distinct positions the heads score (every real row
+for the dense ``forward``). ``hfin`` holds just those rows, and
+``backward`` mirrors the pruning before the lower layers run on all T
+rows. Row by row the math is unchanged. Each layer runs in its own call,
+so a forward-only call keeps no layer's activations past the layer; they
+are kept only for ``backward``.
 
 The heads: ``HEADS`` maps each head name to its loss on the logits at n
 loss positions, ``mlm_loss_grad(logits, labels)`` on (n, V) logits and
@@ -233,14 +241,22 @@ def _merge_heads(x: np.ndarray, sel) -> np.ndarray:
     return x.transpose(0, 2, 1, 3)[np.divmod(sel, length)].reshape(-1, h * dh)
 
 
-def _head_rows(positions, real_mask: np.ndarray, sel) -> np.ndarray:
-    """The rows of the encoded (T, d) array at (rows, cols) ``positions``;
-    ``ValueError`` if one lies outside the batch or on padding."""
-    rows, cols = (np.asarray(x, dtype=np.int64) for x in positions)
-    flat = np.ravel_multi_index((rows, cols), real_mask.shape)
-    if not real_mask.reshape(-1)[flat].all():
+def _scored_rows(positions, real_mask: np.ndarray):
+    """The rows the heads score, for a list of (rows, cols) ``positions``.
+
+    Returns ``scored``, the sorted flat indices in the (B·S) batch of the
+    distinct positions over the whole list, and for each (rows, cols) pair
+    the rows of ``scored`` it names. ``ValueError`` if a position lies
+    outside the batch or on padding.
+    """
+    flats = [
+        np.ravel_multi_index(tuple(np.asarray(x, dtype=np.int64) for x in pair), real_mask.shape)
+        for pair in positions
+    ]
+    scored = np.unique(np.concatenate(flats))
+    if not real_mask.reshape(-1)[scored].all():
         raise ValueError("a scored position is padding")
-    return np.searchsorted(sel, flat)
+    return scored, [np.searchsorted(scored, flat) for flat in flats]
 
 
 def _heads_in_order(names) -> list[str]:
@@ -274,8 +290,11 @@ def forward(
     """
     heads = _heads_in_order(heads)
     real_mask = np.asarray(real_mask, dtype=bool)
-    sel, cache = _encode(params, config, ids, real_mask, keep_activations=False)
-    rows = slice(None) if positions is None else _head_rows(positions, real_mask, sel)
+    if positions is None:
+        scored, rows = None, slice(None)
+    else:
+        scored, (rows,) = _scored_rows([positions], real_mask)
+    sel, cache = _encode(params, config, ids, real_mask, scored, keep_activations=False)
     logits = {head: _head_logits(params, head, cache["hfin"], rows) for head in heads}
     if positions is None:  # back to (B, S, ...), NaN at padding
         for head, x in logits.items():
@@ -285,13 +304,16 @@ def forward(
     return ForwardOutput(**{head + "_logits": x for head, x in logits.items()}, cache=cache)
 
 
-def _encode(params, config, ids, real_mask, keep_activations):
+def _encode(params, config, ids, real_mask, scored, keep_activations):
     """Run the encoder on the real rows of a padded id batch.
 
-    Returns ``sel``, the flat indices of the T real rows in the (B·S) batch,
-    and the cache: the final hidden state ``hfin`` (T, d) and, with
-    ``keep_activations``, what ``_backward_from_heads`` needs from every
-    layer.
+    ``scored`` holds the sorted flat indices in the (B·S) batch of the rows
+    the heads read, all of them real; None means every real row. Every
+    layer but the last returns all T real rows, and the last returns the
+    ``scored`` rows alone. Returns ``sel``, the flat indices of the T real
+    rows, and the cache: the final hidden state ``hfin``, one row per entry
+    of ``scored``, and, with ``keep_activations``, what
+    ``_backward_from_heads`` needs from every layer.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.shape[1] > config.max_seq_len:
@@ -302,8 +324,9 @@ def _encode(params, config, ids, real_mask, keep_activations):
     h = params["tok_emb"][ids.reshape(-1)[sel]] + params["pos_emb"][sel % ids.shape[1]]
     layers = []
     for i in range(config.n_layers):
+        out = sel if scored is None or i < config.n_layers - 1 else scored
         h, acts = _layer_forward(
-            params, f"layer{i}.", h, real_mask, sel, config.n_heads, keep_activations
+            params, f"layer{i}.", h, real_mask, sel, out, config.n_heads, keep_activations
         )
         layers.append(acts)
     hfin, final_ln = _layernorm_forward(h, params["final_ln.scale"], params["final_ln.shift"])
@@ -313,17 +336,24 @@ def _encode(params, config, ids, real_mask, keep_activations):
     return sel, cache
 
 
-def _layer_forward(params, p, h, real_mask, sel, n_heads, keep_activations):
-    """Layer ``p`` on the rows ``h``: the new rows and, with
-    ``keep_activations``, the activations its backward pass reads (else
-    None). Everything else the layer makes is freed when it returns."""
+def _layer_forward(params, p, h, real_mask, sel, out, n_heads, keep_activations):
+    """Layer ``p`` on the rows ``h``, which sit at the flat indices ``sel``.
+
+    K and V are made for every row; the queries, the attention output and
+    the feed-forward only for the rows at ``out``, a sorted subset of
+    ``sel``. Returns those rows and, with ``keep_activations``, the
+    activations the layer's backward pass reads (else None). Everything
+    else the layer makes is freed when it returns.
+    """
     batch, length = real_mask.shape
+    keep = slice(None) if out is sel else np.searchsorted(sel, out)
     a, ln1 = _layernorm_forward(h, params[p + "ln1.scale"], params[p + "ln1.shift"])
+    every = slice(None)
     q, k, v = (
         _split_heads(
-            a @ params[p + "attn.w" + x] + params[p + "attn.b" + x], sel, batch, length, n_heads
+            a[at] @ params[p + "attn.w" + x] + params[p + "attn.b" + x], rows, batch, length, n_heads
         )
-        for x in "qkv"
+        for x, rows, at in (("q", out, keep), ("k", sel, every), ("v", sel, every))
     )
     # softmax over the real keys, in place on one (B, H, S, S) array
     probs = q @ k.transpose(0, 1, 3, 2)
@@ -332,8 +362,8 @@ def _layer_forward(params, p, h, real_mask, sel, n_heads, keep_activations):
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    ctx = _merge_heads(probs @ v, sel)
-    h = h + (ctx @ params[p + "attn.wo"] + params[p + "attn.bo"])
+    ctx = _merge_heads(probs @ v, out)
+    h = h[keep] + (ctx @ params[p + "attn.wo"] + params[p + "attn.bo"])
 
     b_, ln2 = _layernorm_forward(h, params[p + "ln2.scale"], params[p + "ln2.shift"])
     u = b_ @ params[p + "ff.w1"] + params[p + "ff.b1"]
@@ -341,7 +371,10 @@ def _layer_forward(params, p, h, real_mask, sel, n_heads, keep_activations):
     h = h + ((u * phi) @ params[p + "ff.w2"] + params[p + "ff.b2"])
     if not keep_activations:
         return h, None
-    return h, dict(ln1=ln1, a=a, q=q, k=k, v=v, probs=probs, ctx=ctx, ln2=ln2, b_=b_, u=u, phi=phi)
+    return h, dict(
+        out=out, keep=keep, ln1=ln1, a=a, q=q, k=k, v=v, probs=probs, ctx=ctx, ln2=ln2, b_=b_,
+        u=u, phi=phi,
+    )
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -435,12 +468,12 @@ def _head_losses(params, config, ids, real_mask, targets, keep_activations):
     if not heads:
         raise ValueError("targets name no head")
     real_mask = np.asarray(real_mask, dtype=bool)
-    sel, cache = _encode(params, config, ids, real_mask, keep_activations)
+    scored, head_rows = _scored_rows([targets[head][1:] for head in heads], real_mask)
+    sel, cache = _encode(params, config, ids, real_mask, scored, keep_activations)
     total = 0.0
     d_logits = {}
-    for head in heads:
-        labels, *positions = targets[head]
-        rows = _head_rows(positions, real_mask, sel)
+    for head, rows in zip(heads, head_rows):
+        labels = targets[head][0]
         logits = _head_logits(params, head, cache["hfin"], rows)
         head_loss, grad = HEADS[head](logits, labels, keep_activations)
         d_logits[head] = (rows, grad)
@@ -485,28 +518,32 @@ def _backward_from_heads(params, config, ids, sel, cache, d_logits) -> Params:
         grads[p + "ln2.shift"] += dshift
         dh = dh + dx
 
-        # attention sublayer: h_mid = h_in + O(attn(LN1(h_in)))
+        # attention sublayer: h_mid = h_in + O(attn(LN1(h_in))), with queries
+        # and h_mid at the rows ``out`` of h_in only
+        out, keep, a = lc["out"], lc["keep"], lc["a"]
         dattn = dh
         dctx = dattn @ params[p + "attn.wo"].T
         grads[p + "attn.wo"] += lc["ctx"].T @ dattn
         grads[p + "attn.bo"] += dattn.sum(axis=0)
-        dctx_h = _split_heads(dctx, sel, batch, length, n_heads)
+        dctx_h = _split_heads(dctx, out, batch, length, n_heads)
         dprobs = dctx_h @ lc["v"].transpose(0, 1, 3, 2)
         dv = lc["probs"].transpose(0, 1, 3, 2) @ dctx_h
         probs = lc["probs"]
         dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
         dq = (dscores @ lc["k"]) * inv_sqrt
         dk = (dscores.transpose(0, 1, 3, 2) @ lc["q"]) * inv_sqrt
-        da = np.zeros_like(lc["a"])
-        for dmat, x in ((dq, "q"), (dk, "k"), (dv, "v")):
-            dmerged = _merge_heads(dmat, sel)
-            grads[p + "attn.w" + x] += lc["a"].T @ dmerged
+        da = np.zeros_like(a)
+        every = slice(None)
+        for dmat, x, rows, at in ((dq, "q", out, keep), (dk, "k", sel, every), (dv, "v", sel, every)):
+            dmerged = _merge_heads(dmat, rows)
+            grads[p + "attn.w" + x] += a[at].T @ dmerged
             grads[p + "attn.b" + x] += dmerged.sum(axis=0)
-            da += dmerged @ params[p + "attn.w" + x].T
+            da[at] += dmerged @ params[p + "attn.w" + x].T
         dx, dscale, dshift = _layernorm_backward(da, lc["ln1"], params[p + "ln1.scale"])
         grads[p + "ln1.scale"] += dscale
         grads[p + "ln1.shift"] += dshift
-        dh = dh + dx
+        dx[keep] += dh  # the residual, back on all T rows
+        dh = dx
 
     np.add.at(grads["pos_emb"], sel % length, dh)
     np.add.at(grads["tok_emb"], ids.reshape(-1)[sel], dh)

@@ -185,8 +185,12 @@ class RunMetrics:
 
 @dataclass
 class TrainResult:
+    """A finished (part of a) run: the final params, the optimizer step they
+    were reached at, the metrics and the last checkpoint written. The AdamW
+    moments are not kept; they live in the checkpoint."""
+
     params: Params
-    opt: OptState
+    step: int
     metrics: RunMetrics
     final_checkpoint: str | None = None
 
@@ -438,11 +442,14 @@ def train(
     """Run (part of) a training job in ``out_dir``, which it owns.
 
     ``stop_after`` ends the loop early at the given step so a run can be
-    split and resumed. The run always ends by checkpointing ``opt.step``,
+    split and resumed. The run always ends by checkpointing its last step,
     and evaluates after its last step only at the configured total. A fresh
     run writes ``vocab.txt``, starts the metrics afresh and removes an
     earlier run's checkpoints; a resumed run raises ``ValueError`` before
-    it touches a file if ``vocab`` differs from ``vocab.txt``.
+    it touches a file if ``vocab`` differs from ``vocab.txt``. The metrics
+    written so far are flushed and fsynced before each checkpoint. The
+    result holds the final params and step but not the optimizer moments,
+    which only the checkpoint keeps.
     """
     if stop_after is not None and stop_after < 0:
         raise ValueError("stop_after must be >= 0")
@@ -487,6 +494,10 @@ def train(
     def save_step_checkpoint(step: int) -> str | None:
         if ckpt_dir is None:
             return None
+        # every record before the checkpoint reaches the disk first: a run
+        # resumed from it keeps them and logs only the later steps again
+        metrics_fh.flush()
+        os.fsync(metrics_fh.fileno())
         path = os.path.join(ckpt_dir, f"step-{step}.ckpt")
         save_training_checkpoint(path, model_config, train_config, step, params, opt)
         return path
@@ -548,4 +559,4 @@ def train(
         if metrics_fh is not None:
             metrics_fh.close()
 
-    return TrainResult(params, opt, metrics, final_ckpt)
+    return TrainResult(params, opt.step, metrics, final_ckpt)

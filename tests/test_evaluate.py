@@ -144,7 +144,9 @@ def test_pll_memory_stays_below_one_dense_logits_tensor():
     ids[0], ids[-1] = CLS_ID, SEP_ID
     dense_bytes = (length - 2) * length * vocab_size * 8
     peaks = []
-    for n_layers in (1, 4):
+    # the last layer runs on the scored rows alone, so depth is compared
+    # from two layers up
+    for n_layers in (2, 4):
         config = ModelConfig(
             n_layers=n_layers, n_heads=2, d_model=16, d_ff=32,
             vocab_size=vocab_size, max_seq_len=length, init_seed=0,
@@ -163,12 +165,13 @@ def test_pll_memory_stays_below_one_dense_logits_tensor():
 
 def test_forward_only_memory_does_not_grow_with_depth():
     # each layer's temporaries are freed before the next layer runs, so the
-    # scoring peak is one layer's, however deep the encoder
+    # scoring peak is one layer's, however deep the encoder; the last layer
+    # runs on the scored rows alone, so depth is compared from two layers up
     length, vocab_size = 40, 2000
     ids = np.random.default_rng(0).integers(N_SPECIALS, vocab_size, size=length)
     ids[0], ids[-1] = CLS_ID, SEP_ID
     peaks = []
-    for n_layers in (1, 4):
+    for n_layers in (2, 4):
         config = ModelConfig(
             n_layers=n_layers, n_heads=2, d_model=16, d_ff=32,
             vocab_size=vocab_size, max_seq_len=length, init_seed=0,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from masksched import model
 from masksched.data import CLS_ID, N_SPECIALS, PAD_ID, SEP_ID
 from masksched.model import (
     ModelConfig,
@@ -217,7 +218,9 @@ class TestGatheredHead:
     def test_forward_only_keeps_no_layer_activations(self):
         params = init_params(SMALL)
         ids, real = random_batch(SMALL, 9)
+        rows, cols, _, _ = loss_targets(SMALL, ids)
         assert list(forward(params, SMALL, ids, real).cache) == ["hfin"]
+        assert list(forward(params, SMALL, ids, real, positions=(rows, cols)).cache) == ["hfin"]
 
     def test_duplicated_positions_scatter_their_gradients(self):
         # every loss position listed twice leaves the mean loss and its
@@ -308,8 +311,11 @@ class TestRealRows:
         params = init_params(SMALL)
         ids, real = random_batch(SMALL, 13, batch=3, length=7, pad_last=2)
         rows, cols, _, _ = loss_targets(SMALL, ids)
+        # the last layer returns the scored rows (here distinct and fewer than
+        # the real rows), the dense forward every real row
         out = forward(params, SMALL, ids, real, positions=(rows, cols))
-        assert out.cache["hfin"].shape == (real.sum(), SMALL.d_model)
+        assert rows.size < real.sum()
+        assert out.cache["hfin"].shape == (rows.size, SMALL.d_model)
         assert forward(params, SMALL, ids, real).cache["hfin"].shape == (real.sum(), SMALL.d_model)
 
     def test_position_on_padding_rejected(self):
@@ -331,3 +337,45 @@ class TestRealRows:
         assert not real.all() and set(targets) == {"mlm", "rts"}
         report = grad_check(SMALL, seed=1, n_coords=120, h=1e-4, tol=1e-5)
         assert report.passed, f"worst={report.worst_rel_err:.3e} in {report.worst_tensor}"
+
+
+class TestScoredRows:
+    """The last layer runs its queries, output and feed-forward on the rows
+    the heads score alone."""
+
+    @staticmethod
+    def case():
+        # two layers; trailing padding, one ragged row, and MLM and RTS on
+        # disjoint positions with (0, 1) listed twice: five distinct rows
+        ids, real = random_batch(SMALL, 15, batch=3, length=7, pad_last=2)
+        ids[1, 3:5] = [SEP_ID, PAD_ID]
+        real[1, 4] = False
+        mlm = (np.array([5, 9, 5]), np.array([0, 2, 0]), np.array([1, 3, 1]))
+        rts = (np.array([1, 0, 1]), np.array([0, 1, 2]), np.array([3, 2, 1]))
+        return ids, real, {"mlm": mlm, "rts": rts}
+
+    def test_gradient_matches_central_differences(self, monkeypatch):
+        monkeypatch.setattr(model, "_gradcheck_case", lambda config, seed: self.case())
+        report = grad_check(SMALL, seed=0, n_coords=200, h=1e-4, tol=1e-5)
+        assert report.passed, f"worst={report.worst_rel_err:.3e} in {report.worst_tensor}"
+
+    def test_positioned_logits_match_dense_forward(self):
+        params = init_params(SMALL)
+        ids, real, targets = self.case()
+        rows, cols = (np.concatenate([targets[h][i] for h in targets]) for i in (1, 2))
+        dense = forward(params, SMALL, ids, real, heads=("mlm", "rts"))
+        scored = forward(params, SMALL, ids, real, heads=("mlm", "rts"), positions=(rows, cols))
+        assert np.abs(scored.mlm_logits - dense.mlm_logits[rows, cols]).max() <= 1e-12
+        assert np.abs(scored.rts_logits - dense.rts_logits[rows, cols]).max() <= 1e-12
+
+    def test_hfin_holds_the_distinct_scored_rows(self):
+        params = init_params(SMALL)
+        ids, real, targets = self.case()
+        _, _, cache, _ = model._head_losses(params, SMALL, ids, real, targets, True)
+        lower, top = cache["layers"]
+        assert cache["hfin"].shape == (5, SMALL.d_model)
+        assert top["ctx"].shape[0] == top["u"].shape[0] == 5
+        assert lower["ctx"].shape[0] == top["a"].shape[0] == real.sum()
+        rows, cols = np.array([0, 0, 2, 1, 2]), np.array([1, 3, 3, 2, 1])
+        out = forward(params, SMALL, ids, real, positions=(rows, cols))
+        assert out.cache["hfin"].shape == (5, SMALL.d_model)

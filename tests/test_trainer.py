@@ -1,6 +1,11 @@
 import dataclasses
 import json
 import math
+import os
+import pickle
+import shutil
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -545,18 +550,72 @@ class TestTrainLoop:
 class TestCheckpointContents:
     def test_checkpoint_holds_optimizer_state(self, toy, tmp_path):
         vocab, dataset = toy
-        cfg = config(total_steps=4, checkpoint_every=4)
-        result = train(MODEL, cfg, dataset, vocab, out_dir=str(tmp_path))
-        header, params, opt = load_training_checkpoint(
-            str(tmp_path / "checkpoints" / "step-4.ckpt")
-        )
-        assert header["step"] == 4
+        cfg = config(total_steps=4, checkpoint_every=2)
+        full, split = tmp_path / "full", tmp_path / "split"
+        result = train(MODEL, cfg, dataset, vocab, out_dir=str(full))
+        assert result.step == 4
+        header, params, opt = load_training_checkpoint(str(full / "checkpoints" / "step-2.ckpt"))
+        assert header["step"] == opt.step == 2
         assert header["train"]["schedule_name"] == "constant-0.15"
         assert header["train"]["schedule"]["kind"] == "constant"
-        assert opt.step == 4
-        np.testing.assert_array_equal(opt.moments, result.opt.moments)
+        _, final_params, _ = load_training_checkpoint(str(full / "checkpoints" / "step-4.ckpt"))
         for name in result.params:
-            np.testing.assert_array_equal(params[name], result.params[name])
+            np.testing.assert_array_equal(final_params[name], result.params[name])
+        # the moments are the run's: a run resumed from step 2 writes the
+        # uninterrupted run's step-4 bytes (moments included), and one
+        # resumed from zeroed moments ends elsewhere
+        shutil.copytree(full, split)
+        (split / "checkpoints" / "step-4.ckpt").unlink()
+        resume = str(split / "checkpoints" / "step-2.ckpt")
+        train(MODEL, cfg, dataset, vocab, out_dir=str(split), resume_from=resume)
+        assert (split / "checkpoints" / "step-4.ckpt").read_bytes() == (
+            full / "checkpoints" / "step-4.ckpt"
+        ).read_bytes()
+        assert opt.moments.any()
+        opt.moments[:] = 0.0
+        save_training_checkpoint(resume, MODEL, cfg, 2, params, opt)
+        zeroed = train(MODEL, cfg, dataset, vocab, resume_from=resume)
+        assert any(not np.array_equal(zeroed.params[n], result.params[n]) for n in result.params)
+
+    def test_crash_right_after_a_checkpoint_loses_no_metrics(self, toy, tmp_path):
+        # a process killed as soon as step-4.ckpt is written has put every
+        # record before step 4 on disk, so resuming from that checkpoint
+        # gives the uninterrupted run's metrics
+        vocab, dataset = toy
+        cfg = config(total_steps=8, checkpoint_every=2, eval_every=2)
+        full, crashed = tmp_path / "full", tmp_path / "crashed"
+        train(MODEL, cfg, dataset, vocab, out_dir=str(full))
+        job = tmp_path / "job.pkl"
+        job.write_bytes(pickle.dumps((MODEL, cfg, dataset, vocab)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        cmd = [sys.executable, "-c", _CRASH_AFTER_STEP_4, str(job), str(crashed)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        assert proc.returncode == 3, proc.stderr
+        ckpt = crashed / "checkpoints" / "step-4.ckpt"
+        assert sorted(p.name for p in ckpt.parent.iterdir()) == ["step-2.ckpt", "step-4.ckpt"]
+        train(MODEL, cfg, dataset, vocab, out_dir=str(crashed), resume_from=str(ckpt))
+        assert (crashed / "metrics.jsonl").read_bytes() == (full / "metrics.jsonl").read_bytes()
+
+
+# Trains the pickled (model config, train config, dataset, vocab) job in the
+# given run dir and ends the process, unflushed buffers and all, as soon as
+# step-4.ckpt is written.
+_CRASH_AFTER_STEP_4 = """
+import os, pickle, sys
+from masksched import trainer
+
+save = trainer.save_training_checkpoint
+
+def save_then_crash(path, *args):
+    save(path, *args)
+    if path.endswith("step-4.ckpt"):
+        os._exit(3)
+
+trainer.save_training_checkpoint = save_then_crash
+with open(sys.argv[1], "rb") as fh:
+    job = pickle.load(fh)
+trainer.train(*job, out_dir=sys.argv[2])
+"""
 
 
 class TestCheckpointBuffers:
