@@ -2,10 +2,11 @@
 
 Run configs are single JSON documents (unknown keys and wrong-typed values
 rejected, every config checked when built, before any work starts), reports
-are JSON on stdout, series are CSV, minimal pairs are TSV. Every subcommand
-is deterministic given its inputs and seeds, also across BLAS thread
-counts (numpy's OpenBLAS is pinned to one thread); wall-clock timing is
-opt-in (--timings) and never enters a computed result.
+are strict JSON on stdout (never NaN or Infinity), series are CSV, minimal
+pairs are TSV. Every subcommand is deterministic given its inputs and
+seeds, also across BLAS thread counts (numpy's OpenBLAS is pinned to one
+thread); wall-clock timing is opt-in (--timings) and never enters a
+computed result.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage or validation error.
 """
@@ -25,12 +26,8 @@ from . import analysis, data, evaluate, model, stats, trainer
 from .corruption import CorruptionConfig
 from .evaluate import EvalConfig
 from .model import ModelConfig
-from .schedule import ScheduleError, parse_schedule
+from .schedule import parse_schedule
 from .trainer import TrainConfig
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration (exit code 2)."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,14 +71,14 @@ def _check_section(section: dict, where: str, *classes, drop=()) -> None:
     fields = _fields(*classes, drop=drop)
     unknown = set(section) - set(fields)
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
     missing = {
         name
         for name, f in fields.items()
         if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
     } - set(section)
     if missing:
-        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+        raise ValueError(f"missing keys in {where}: {sorted(missing)}")
     for key, value in section.items():
         kind, _, optional = fields[key].type.partition(" | ")
         if value is None and optional == "None":
@@ -89,12 +86,12 @@ def _check_section(section: dict, where: str, *classes, drop=()) -> None:
         accepted = _JSON_TYPES[kind]
         if isinstance(value, bool) or not isinstance(value, accepted):
             names = [t.__name__ for t in accepted] + ["null"] * (optional == "None")
-            raise ConfigError(f"{where}: {key} must be {' or '.join(names)}, got {value!r}")
+            raise ValueError(f"{where}: {key} must be {' or '.join(names)}, got {value!r}")
 
 
 def parse_run_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
-        raise ConfigError(f"run config must be a JSON object, got {doc!r}")
+        raise ValueError(f"run config must be a JSON object, got {doc!r}")
     _check_section(doc, "run config", RunConfig)
     for name, (classes, drop) in _SECTIONS.items():
         _check_section(doc.get(name, {}), f"{name} section", *classes, drop=drop)
@@ -105,20 +102,13 @@ def build_configs(run: RunConfig) -> tuple[ModelConfig, TrainConfig]:
     model_cfg = ModelConfig(vocab_size=run.vocab_size, **run.model)
     t = dict(run.train)
     total_steps = t.pop("total_steps")
-    try:
-        schedule = parse_schedule(t.pop("schedule"), max(total_steps, 1))
-    except ScheduleError as exc:
-        raise ConfigError(f"train.schedule: {exc}") from None
-    try:
-        train_cfg = TrainConfig(
-            total_steps=total_steps,
-            schedule=schedule,
-            corruption=CorruptionConfig(**{k: t.pop(k) for k in _fields(CorruptionConfig) if k in t}),
-            eval=EvalConfig(**run.eval),
-            **t,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"train section: {exc}") from None
+    train_cfg = TrainConfig(
+        total_steps=total_steps,
+        schedule=parse_schedule(t.pop("schedule"), max(total_steps, 1)),
+        corruption=CorruptionConfig(**{k: t.pop(k) for k in _fields(CorruptionConfig) if k in t}),
+        eval=EvalConfig(**run.eval),
+        **t,
+    )
     return model_cfg, train_cfg
 
 
@@ -137,13 +127,21 @@ def _load_json(path: str):
         return json.load(fh, object_pairs_hook=unique_keys)
 
 
+def _print_json(doc, indent: int | None = 2) -> None:
+    """Print a report as strict JSON: a NaN or infinity in it raises
+    ``ValueError`` instead of printing a token JSON does not have."""
+    print(json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False))
+
+
 def cmd_train(args) -> int:
+    if args.stop_after is not None and args.stop_after < 0:
+        raise ValueError("stop_after must be >= 0")
     run = parse_run_config(_load_json(args.config))
     model_cfg, train_cfg = build_configs(run)
     out_dir = run.out_dir
     config_path = os.path.join(out_dir, "config.json")
     if os.path.exists(config_path) and not (args.force or args.resume):
-        raise ConfigError(
+        raise ValueError(
             f"refusing to overwrite existing run dir {out_dir!r} (use --force)"
         )
 
@@ -177,7 +175,7 @@ def cmd_train(args) -> int:
         summary["final_loss"] = last.loss
         if last.eval_loss is not None:
             summary["final_eval_loss"] = last.eval_loss
-    print(json.dumps(summary, sort_keys=True))
+    _print_json(summary, indent=None)
     return 0
 
 
@@ -190,7 +188,7 @@ def _load_eval_context(args):
         vocab_path = os.path.join(run_dir, "vocab.txt")
     vocab = data.load_vocab(vocab_path)
     if vocab.size != model_cfg.vocab_size:
-        raise ConfigError(
+        raise ValueError(
             f"vocab file has {vocab.size} entries but the checkpoint expects "
             f"{model_cfg.vocab_size}"
         )
@@ -203,32 +201,28 @@ def cmd_eval(args) -> int:
         pairs = evaluate.load_minimal_pairs(args.pairs)
         report = evaluate.minimal_pair_accuracy(params, model_cfg, vocab, pairs)
         report["n_pairs"] = len(pairs)
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _print_json(report)
         return 0
     cfg = EvalConfig(masking_rate=args.rate, seed=args.seed, n_batches=args.batches)
     lines = data.load_corpus(args.corpus)
     dataset = data.encode_corpus(vocab, lines, model_cfg.max_seq_len)
     batch_size = header["train"]["batch_size"] if args.batch_size is None else args.batch_size
     loss = evaluate.eval_mlm(params, model_cfg, dataset, cfg, batch_size)
-    print(
-        json.dumps(
-            {
-                "mean_loss": loss,
-                "rate": args.rate,
-                "seed": args.seed,
-                "n_batches": args.batches,
-                "step": header["step"],
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    _print_json(
+        {
+            "mean_loss": loss,
+            "rate": args.rate,
+            "seed": args.seed,
+            "n_batches": args.batches,
+            "step": header["step"],
+        }
     )
     return 0
 
 
 def cmd_compare(args) -> int:
     report = stats.parity_table(_load_json(args.samples), alpha=args.alpha)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _print_json(report)
     print()
     print(stats.format_parity_text(report))
     return 0
@@ -240,15 +234,15 @@ def cmd_speedup(args) -> int:
         stem = os.path.splitext(os.path.basename(path))[0]
         for name, arrays in analysis.load_series_csv(path, default_name=stem).items():
             if name in series:
-                raise ConfigError(f"duplicate series name {name!r}")
+                raise ValueError(f"duplicate series name {name!r}")
             series[name] = arrays
     if args.baseline not in series:
-        raise ConfigError(
+        raise ValueError(
             f"baseline {args.baseline!r} not among series {sorted(series)}"
         )
     for name, (steps, _) in series.items():
         if np.unique(steps).size < 4:
-            raise ConfigError(f"series {name!r} has fewer than 4 distinct steps")
+            raise ValueError(f"series {name!r} has fewer than 4 distinct steps")
 
     fits = {name: analysis.fit_speedup_curve(steps, values) for name, (steps, values) in series.items()}
     bad = [name for name, fit in fits.items() if not fit.converged]
@@ -270,13 +264,12 @@ def cmd_speedup(args) -> int:
         if name != args.baseline:
             cross = analysis.crossover_step(fit, baseline_best)
             entry["crossover_step"] = cross
-            entry["speedup"] = (
-                analysis.speedup_from_steps(baseline_total, cross) if cross is not None else None
-            )
+            # a crossover at step 0 has no finite speedup; the 0.0 says why
+            entry["speedup"] = analysis.speedup_from_steps(baseline_total, cross) if cross else None
             if cross is not None:
                 crossovers[name] = cross
         out["series"][name] = entry
-    print(json.dumps(out, indent=2, sort_keys=True))
+    _print_json(out)
     if args.plot:
         analysis.emit_plot(series, fits, args.plot, crossovers=crossovers)
     return 0
@@ -293,7 +286,7 @@ def cmd_gradcheck(args) -> int:
         init_seed=args.seed,
     )
     report = model.grad_check(config, seed=args.seed, n_coords=args.coords, h=args.h, tol=args.tol)
-    print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
+    _print_json(dataclasses.asdict(report))
     return 0 if report.passed else 1
 
 
@@ -301,7 +294,7 @@ def cmd_vocab(args) -> int:
     lines = data.load_corpus(args.corpus)
     vocab = data.build_vocab(lines, args.max_size)
     data.save_vocab(vocab, args.out)
-    print(json.dumps({"size": vocab.size, "out": args.out}, sort_keys=True))
+    _print_json({"size": vocab.size, "out": args.out}, indent=None)
     return 0
 
 

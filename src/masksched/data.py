@@ -105,17 +105,6 @@ def epoch_permutation(n_sequences: int, seed: int, epoch: int = 0) -> np.ndarray
     return rng.permutation(n_sequences)
 
 
-def pad_batch(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack sequences into (ids, real_mask), padding with [PAD] on the right."""
-    longest = max(len(s) for s in seqs)
-    ids = np.full((len(seqs), longest), PAD_ID, dtype=np.int64)
-    real = np.zeros((len(seqs), longest), dtype=bool)
-    for row, seq in enumerate(seqs):
-        ids[row, : len(seq)] = seq
-        real[row, : len(seq)] = True
-    return ids, real
-
-
 def load_corpus(path: str) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         return [line.rstrip("\n") for line in fh]

@@ -41,12 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import corruption, evaluate, model
-from .corruption import (
-    CorruptionConfig,
-    MaskOutcome,
-    collate_targets,
-    round_half_up,
-)
+from .corruption import CorruptionConfig, MaskOutcome, collate_targets, restrict_loss_budget
 from .data import Vocab, atomic_write, counter_rng, epoch_permutation, load_vocab, save_vocab
 from .evaluate import EvalConfig
 from .model import ModelConfig, Params
@@ -106,21 +101,19 @@ class TrainConfig:
         for name in ("beta1", "beta2"):
             if not (0 <= getattr(self, name) < 1):
                 raise ValueError(f"{name} must be in [0, 1)")
-        if not (self.eps > 0):
-            raise ValueError("eps must be > 0")
-        if not (self.weight_decay >= 0):
-            raise ValueError("weight_decay must be >= 0")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError("eps must be > 0 and finite")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError("weight_decay must be >= 0 and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.grad_clip is not None and not (self.grad_clip > 0):
-            raise ValueError("grad_clip must be > 0")
+        if self.grad_clip is not None and not (math.isfinite(self.grad_clip) and self.grad_clip > 0):
+            raise ValueError("grad_clip must be > 0 and finite")
         if self.eval_every < 0 or self.checkpoint_every < 0:
             raise ValueError("eval_every and checkpoint_every must be >= 0")
         # zero-step runs never evaluate the schedule
         if self.total_steps > 0 and self.schedule.total_steps != self.total_steps:
             raise ValueError("schedule.total_steps must equal total_steps")
-        if self.corruption.subset_loss_fraction is not None and self.objective != "mlm":
-            raise ValueError("subset_loss_fraction requires the mlm objective")
 
 
 # Elements per block of the AdamW walk over the flat buffers: each block's
@@ -293,28 +286,6 @@ def batch_indices(n_sequences: int, batch_size: int, seed: int, step: int) -> np
     epoch, slot = divmod(step, per_epoch)
     order = epoch_permutation(n_sequences, seed, epoch)
     return order[slot * batch_size : (slot + 1) * batch_size]
-
-
-def restrict_loss_budget(
-    labels: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    maskable_total: int,
-    fraction: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cap the batch's loss positions at a fraction of its maskable tokens.
-
-    The subset is drawn uniformly from the pooled masked positions of the
-    whole batch, so the step-level budget |loss_set| <= round(fraction *
-    maskable) holds exactly (per-sequence rounding could overshoot it). At
-    least one position is always kept so the loss stays defined.
-    """
-    budget = max(1, round_half_up(fraction * maskable_total))
-    if labels.size <= budget:
-        return labels, rows, cols
-    keep = np.sort(rng.choice(labels.size, size=budget, replace=False))
-    return labels[keep], rows[keep], cols[keep]
 
 
 def corrupt_batch(

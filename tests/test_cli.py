@@ -128,6 +128,13 @@ class TestTrainCommand:
         assert main(["train", write_config(tmp_path, doc)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_config_error_names_its_own_section(self, corpus_path, tmp_path, capsys):
+        doc = run_config(corpus_path, str(tmp_path / "run"))
+        doc["eval"]["masking_rate"] = 1.5
+        assert main(["train", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert "masking_rate" in err and "train section" not in err
+
     def test_duplicate_key_exits_2(self, corpus_path, tmp_path, capsys):
         text = json.dumps(run_config(corpus_path, str(tmp_path / "run")))
         text = text.replace('"seed": 3', '"seed": 1, "seed": 3')
@@ -162,7 +169,9 @@ class TestTrainCommand:
         cfg = write_config(tmp_path, run_config(corpus_path, str(out)))
         assert main(["train", cfg, "--stop-after", "-5"]) == 2
         assert "stop_after must be >= 0" in capsys.readouterr().err
-        assert not (out / "checkpoints").exists()
+        assert not out.exists()
+        # nothing was written, so the corrected command needs no --force
+        assert main(["train", cfg]) == 0
 
     def test_existing_dir_refused_without_force(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "run"
@@ -436,6 +445,25 @@ class TestSpeedupCommand:
         assert main(["speedup", str(path), "--baseline", "plateau"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert math.isfinite(report["series"]["plateau"]["fit"]["rss"])
+
+    def test_crossover_at_step_0_prints_strict_json(self, tmp_path, capsys):
+        from masksched.analysis import speedup_model
+
+        steps = np.arange(1, 9) * 10_000.0
+        base = ["step,value"] + [f"{s:g},{speedup_model(s, 0.71, 0.4, 5e-5, 1.2):.10f}" for s in steps]
+        flat = ["step,value"] + [f"{s:g},0.9" for s in steps]
+        (tmp_path / "base.csv").write_text("\n".join(base) + "\n", encoding="utf-8")
+        (tmp_path / "flat.csv").write_text("\n".join(flat) + "\n", encoding="utf-8")
+        paths = [str(tmp_path / "base.csv"), str(tmp_path / "flat.csv")]
+        assert main(["speedup", *paths, "--baseline", "base"]) == 0
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report["baseline_best"] < 0.9
+        assert report["series"]["flat"]["crossover_step"] == 0.0
+        assert report["series"]["flat"]["speedup"] is None
 
     def test_unknown_baseline_exits_2(self, tmp_path, capsys):
         path = self.write_series(tmp_path)

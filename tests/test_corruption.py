@@ -9,10 +9,10 @@ from masksched.corruption import (
     collate_targets,
     corrupt_batch,
     maskable_indices,
+    restrict_loss_budget,
     round_half_up,
 )
 from masksched.data import CLS_ID, MASK_ID, N_SPECIALS, PAD_ID, SEP_ID, UNK_ID
-from masksched.trainer import restrict_loss_budget
 
 VOCAB_SIZE = 50
 RTS = CorruptionConfig(objective="rts")
@@ -143,6 +143,12 @@ class TestSubsetLoss:
         assert round_half_up(4.4) == 4
         assert round_half_up(15.0) == 15
 
+    def test_requires_the_mlm_objective(self):
+        with pytest.raises(ValueError, match="subset_loss_fraction requires the mlm objective"):
+            CorruptionConfig(objective="rts", subset_loss_fraction=0.5)
+        with pytest.raises(ValueError, match="subset_loss_fraction requires the mlm objective"):
+            dataclasses.replace(CorruptionConfig(subset_loss_fraction=0.5), objective="rts")
+
 
 class TestRts:
     def test_rate_zero_identity(self):
@@ -255,6 +261,20 @@ class TestCorruptBatch:
         ]
         assert want and list(zip(labels, rows, cols)) == want
         assert all(a.dtype == np.int64 for a in (labels, rows, cols))
+
+    @pytest.mark.parametrize("objective", ["mlm", "rts"])
+    def test_outcomes_view_the_batch_and_leave_the_input(self, objective):
+        seqs = [make_sequence(12, seed=1, pad=3), np.array([CLS_ID, SEP_ID]), make_sequence(5, seed=2)]
+        before = [seq.copy() for seq in seqs]
+        cfg = CorruptionConfig(objective=objective)
+        outcomes, ids, _ = corrupt_batch(seqs, 0.5, VOCAB_SIZE, [rng(s) for s in range(3)], cfg)
+        assert outcomes[1].maskable == 0  # the unmaskable row is covered too
+        for row, (seq, old, out) in enumerate(zip(seqs, before, outcomes)):
+            np.testing.assert_array_equal(seq, old)
+            assert not np.shares_memory(out.corrupted, seq)
+            assert np.shares_memory(out.corrupted, ids[row])
+            np.testing.assert_array_equal(out.corrupted, ids[row, : len(seq)])
+        assert (outcomes[0].corrupted != seqs[0]).any()
 
     def test_invalid_config_rejected(self):
         # a config is checked when built, so no invalid one reaches a batch

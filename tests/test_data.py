@@ -19,10 +19,10 @@ from masksched.data import (
     encode,
     epoch_permutation,
     load_vocab,
-    pad_batch,
     save_vocab,
     synthetic_zipf_corpus,
 )
+from masksched.corruption import CorruptionConfig, corrupt_batch
 from masksched.model import ModelConfig
 from masksched.schedule import parse_schedule
 from masksched.trainer import TrainConfig, batch_indices, train
@@ -105,6 +105,13 @@ class TestEncode:
         assert [vocab.tokens[i] for i in ids[1:-1]] == expected
 
 
+def pad_uncorrupted(seqs, vocab_size=10):
+    """The padded (ids, real) batch of ``seqs`` at masking rate 0."""
+    rngs = [np.random.default_rng(s) for s in range(len(seqs))]
+    _, ids, real = corrupt_batch(seqs, 0.0, vocab_size, rngs, CorruptionConfig(min_masked=0))
+    return ids, real
+
+
 class TestBatches:
     def make_dataset(self, n, vocab):
         return [encode(vocab, " ".join(["a"] * (i % 4 + 1)), 8) for i in range(n)]
@@ -112,7 +119,7 @@ class TestBatches:
     def test_every_sequence_once(self):
         vocab = build_vocab(["a b a"], max_size=7)
         ds = self.make_dataset(4, vocab)
-        ids, real = pad_batch(ds)
+        ids, real = pad_uncorrupted(ds, vocab.size)
         assert ids.shape == (4, max(len(s) for s in ds))
         for row, seq in enumerate(ds):
             np.testing.assert_array_equal(ids[row][real[row]], seq)
@@ -130,7 +137,7 @@ class TestBatches:
     def test_padding_uses_pad_id(self):
         a = np.array([CLS_ID, 7, 8, SEP_ID])
         b = np.array([CLS_ID, SEP_ID])
-        ids, real = pad_batch([a, b])
+        ids, real = pad_uncorrupted([a, b])
         np.testing.assert_array_equal(ids, [a, [CLS_ID, SEP_ID, PAD_ID, PAD_ID]])
         np.testing.assert_array_equal(real, [[True] * 4, [True, True, False, False]])
 

@@ -75,6 +75,7 @@ class TestConfigValidation:
             ("grad_clip", -1.0),
             ("grad_clip", 0.0),
             ("grad_clip", math.nan),
+            ("grad_clip", math.inf),
             ("eval_every", -1),
             ("checkpoint_every", -1),
         ],
@@ -93,8 +94,14 @@ class TestConfigValidation:
             ({"beta2": 1.0}, r"beta2 must be in \[0, 1\)"),
             ({"eps": -1.0}, "eps must be > 0"),
             ({"weight_decay": -0.1}, "weight_decay must be >= 0"),
+            # an infinite eps zeroes every AdamW update
+            ({"eps": math.inf}, "eps must be > 0"),
+            ({"weight_decay": math.inf}, "weight_decay must be >= 0"),
         ],
-        ids=["negative-peak-lr", "nan-peak-lr", "final-lr", "beta1", "beta2", "eps", "weight-decay"],
+        ids=[
+            "negative-peak-lr", "nan-peak-lr", "final-lr", "beta1", "beta2", "eps", "weight-decay",
+            "inf-eps", "inf-weight-decay",
+        ],
     )
     def test_bad_optimizer_value_rejected(self, change, message):
         with pytest.raises(ValueError, match=message):
