@@ -4,9 +4,10 @@ Run configs are single JSON documents (unknown keys and wrong-typed values
 rejected, every config checked when built, before any work starts), reports
 are strict JSON on stdout (never NaN or Infinity), series are CSV, minimal
 pairs are TSV. Every subcommand is deterministic given its inputs and
-seeds, also across BLAS thread counts (numpy's OpenBLAS is pinned to one
-thread); wall-clock timing is opt-in (--timings) and never enters a
-computed result.
+seeds, whatever the host's core or BLAS thread count (``model`` pins
+numpy's OpenBLAS to one thread and cuts a batch into row shards by the
+batch and the config alone); wall-clock timing is opt-in (--timings) and
+never enters a computed result.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage or validation error.
 """
@@ -14,7 +15,6 @@ Exit codes: 0 ok, 1 runtime failure, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import json
 import os
@@ -358,24 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pin_blas_threads() -> None:
-    """Run numpy's bundled OpenBLAS on one thread: its threaded products sum
-    in an order that depends on the thread count, so a run's bytes would
-    depend on the host's cores. Another BLAS, without the setter, is left
-    as it is."""
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        set_threads = lib.scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError):
-        return
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    set_threads(1)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _pin_blas_threads()
     try:
         return args.func(args)
     except (json.JSONDecodeError, FileNotFoundError, ValueError, KeyError) as exc:

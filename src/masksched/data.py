@@ -55,6 +55,12 @@ class Vocab:
     def __post_init__(self) -> None:
         if self.tokens[:N_SPECIALS] != SPECIAL_TOKENS:
             raise ValueError("vocab must start with the special tokens in order")
+        if len(self._index) != len(self.tokens):  # a repeat would leave an id unused
+            seen = set()
+            for token in self.tokens:
+                if token in seen:
+                    raise ValueError(f"vocab repeats the token {token!r}")
+                seen.add(token)
 
     @property
     def size(self) -> int:

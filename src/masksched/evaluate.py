@@ -95,9 +95,9 @@ def eval_mlm(
 
 def pll(params: Params, config: ModelConfig, ids: np.ndarray) -> float:
     """Pseudo-log-likelihood: mask each non-special position in turn and sum
-    the log-likelihood of the hidden token. One batched forward covers all
-    positions (rows are independent); the head scores only row i's masked
-    position."""
+    the log-likelihood of the hidden token. One batch holds one row per
+    position (rows are independent), and its MLM loss, the mean negative
+    log-likelihood over those masked positions, times -n is the sum."""
     ids = np.asarray(ids, dtype=np.int64)
     positions = maskable_indices(ids)
     if positions.size == 0:
@@ -106,9 +106,8 @@ def pll(params: Params, config: ModelConfig, ids: np.ndarray) -> float:
     batch = np.tile(ids, (positions.size, 1))
     batch[rows, positions] = MASK_ID
     real = np.ones_like(batch, dtype=bool)
-    out = model.forward(params, config, batch, real, heads=("mlm",), positions=(rows, positions))
-    logp = model.log_softmax(out.mlm_logits)
-    return float(logp[rows, ids[positions]].sum())
+    targets = {"mlm": (ids[positions], rows, positions)}
+    return -positions.size * model.loss(params, config, batch, real, targets)
 
 
 def load_minimal_pairs(path: str) -> list[MinimalPair]:

@@ -25,20 +25,31 @@ rows. Row by row the math is unchanged. Each layer runs in its own call,
 so a forward-only call keeps no layer's activations past the layer; they
 are kept only for ``backward``.
 
+A large batch is encoded as two row shards (``_shards``): when it has at
+least two rows and T·d_model·(d_model + d_ff) reaches ``_SHARD_WORK``, it
+is cut into two runs of whole rows at half its real tokens, each cropped
+to its own longest row. ``loss`` and ``backward`` run the first shard in
+the caller and the second on one worker thread (``run_parts``), made on
+first use and only where the process may use two CPUs; otherwise both run
+in the caller. Each head divides by its count over the whole batch, and
+the second shard's loss and gradient are added to the first's, in that
+order. The cut depends on the batch and the config alone, so the bytes do
+not depend on the host's core count; nor on its BLAS threads, since the
+first encoder pass pins numpy's OpenBLAS to one thread.
+
 The heads: ``HEADS`` maps each head name to its loss on the logits at n
 loss positions, ``mlm_loss_grad(logits, labels)`` on (n, V) logits and
 ``rts_loss_grad(logits, flags)`` on (n,) logits. A head projects only the
-rows it scores, ``hfin[rows] @ W + b``. ``forward`` with
-``positions=(rows, cols)`` returns every requested head's logits at those
-positions, (n, V) and (n,); without it the logits are (B, S, V) and (B, S)
-and NaN at padding. A position on padding or an unknown head name raises
-``ValueError``.
+rows it scores, ``hfin[rows] @ W + b``. ``forward`` returns every requested
+head's logits at every position, (B, S, V) and (B, S), NaN at padding; it
+is for inspection, and no library path calls it. An unknown head name
+raises ``ValueError``.
 
 ``loss(params, config, ids, real_mask, targets)`` is the one loss entry
 point: ``targets`` maps each head to its (labels, rows, cols), each head
 scores just those positions, and the head losses are summed. ``backward``
-differentiates the same loss, and training, evaluation and the gradient
-check all go through the two.
+differentiates the same loss, and training, evaluation, pseudo-log-
+likelihood scoring and the gradient check all go through the two.
 
 Parameters live in a plain dict keyed by name; ``param_shapes`` defines the
 canonical ordering used everywhere. ``init_params`` and the gradients of
@@ -49,9 +60,13 @@ once; ``arena_buffer`` recovers the buffer from such a dict.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+from concurrent import futures
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -60,6 +75,15 @@ from .data import CLS_ID, N_SPECIALS, PAD_ID, SEP_ID, counter_rng
 
 LN_EPS = 1e-12
 INIT_STD = 0.02
+
+# ``loss`` and ``backward`` run a batch as two row shards, the second on a
+# worker thread, when it has at least two rows and its encoder work
+# T·d_model·(d_model + d_ff), T real tokens, reaches this. Below it the
+# hand-off costs more than the second core saves (see ``_shards``).
+_SHARD_WORK = 2**24
+
+# glibc's mallopt parameter for the number of malloc arenas
+_M_ARENA_MAX = -8
 
 Params = dict[str, np.ndarray]
 
@@ -228,6 +252,84 @@ def _gelu_grad(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return phi + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
+@functools.cache
+def _pin_blas_threads() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, once per process: its
+    threaded products sum in an order that depends on the thread count, so
+    the bytes would depend on the host's cores. Another BLAS, without the
+    setter, is left as it is."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+
+
+def _checked_ids(config: ModelConfig, ids) -> np.ndarray:
+    """``ids`` as int64, checked against the config. BLAS is pinned here,
+    before the process's first encoder pass."""
+    _pin_blas_threads()
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.shape[1] > config.max_seq_len:
+        raise ValueError(f"sequence length {ids.shape[1]} exceeds max_seq_len {config.max_seq_len}")
+    if ids.min() < 0 or ids.max() >= config.vocab_size:
+        raise ValueError("token id out of range")
+    return ids
+
+
+# The one worker thread that runs a second shard; made on first use, and
+# dropped in a forked child, which has no thread behind it.
+_worker: futures.ThreadPoolExecutor | None = None
+
+
+def _drop_worker() -> None:
+    global _worker
+    _worker = None
+
+
+os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _cap_malloc_arenas() -> None:
+    """Keep every thread on one glibc malloc arena, where mallopt exists: a
+    worker's own arena would keep its freed activations, and the run's peak
+    memory would grow by them."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+
+
+def run_parts(fn: Callable, parts: Sequence) -> list:
+    """``[fn(part) for part in parts]`` for one or two parts, the second on
+    the worker thread while the first runs here, where this process may use
+    two CPUs. An exception raised on the worker is raised here; one raised
+    by the first part wins. The worker only changes where a part runs, so
+    the results are the same with it and without it."""
+    global _worker
+    if len(parts) < 2 or _usable_cpus() < 2:
+        return [fn(part) for part in parts]
+    if _worker is None:
+        _cap_malloc_arenas()
+        _worker = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="masksched")
+    second = _worker.submit(fn, parts[1])
+    try:
+        first = fn(parts[0])
+    finally:
+        futures.wait([second])
+    return [first, second.result()]
+
+
 def _split_heads(x: np.ndarray, sel, batch: int, length: int, n_heads: int) -> np.ndarray:
     """Rows (T, d) -> heads (B, H, S, dh), zero at the rows outside ``sel``."""
     full = np.zeros((batch * length, x.shape[1]))
@@ -278,34 +380,24 @@ def forward(
     ids: np.ndarray,
     real_mask: np.ndarray,
     heads: Iterable[str] = ("mlm",),
-    positions: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ForwardOutput:
-    """Encode the real rows of a padded id batch and project ``heads``.
-
-    ``positions`` = (rows, cols) restricts every head to those positions:
-    ``mlm_logits[i]`` (V,) and ``rts_logits[i]`` then score position
-    (rows[i], cols[i]), and a position on padding raises ``ValueError``.
-    Without ``positions`` the logits are (B, S, V) and (B, S), NaN at
-    padding.
-    """
+    """Encode the real rows of a padded id batch and project ``heads`` at
+    every position: (B, S, V) and (B, S) logits, NaN at padding."""
     heads = _heads_in_order(heads)
+    ids = _checked_ids(config, ids)
     real_mask = np.asarray(real_mask, dtype=bool)
-    if positions is None:
-        scored, rows = None, slice(None)
-    else:
-        scored, (rows,) = _scored_rows([positions], real_mask)
-    sel, cache = _encode(params, config, ids, real_mask, scored, keep_activations=False)
-    logits = {head: _head_logits(params, head, cache["hfin"], rows) for head in heads}
-    if positions is None:  # back to (B, S, ...), NaN at padding
-        for head, x in logits.items():
-            full = np.full((real_mask.size, *x.shape[1:]), np.nan)
-            full[sel] = x
-            logits[head] = full.reshape(*real_mask.shape, *x.shape[1:])
-    return ForwardOutput(**{head + "_logits": x for head, x in logits.items()}, cache=cache)
+    sel, cache = _encode(params, config, ids, real_mask, None, keep_activations=False)
+    logits = {}
+    for head in heads:
+        x = _head_logits(params, head, cache["hfin"], slice(None))
+        full = np.full((real_mask.size, *x.shape[1:]), np.nan)
+        full[sel] = x
+        logits[head + "_logits"] = full.reshape(*real_mask.shape, *x.shape[1:])
+    return ForwardOutput(**logits, cache=cache)
 
 
 def _encode(params, config, ids, real_mask, scored, keep_activations):
-    """Run the encoder on the real rows of a padded id batch.
+    """Run the encoder on the real rows of a padded int64 id batch.
 
     ``scored`` holds the sorted flat indices in the (B·S) batch of the rows
     the heads read, all of them real; None means every real row. Every
@@ -315,11 +407,6 @@ def _encode(params, config, ids, real_mask, scored, keep_activations):
     of ``scored``, and, with ``keep_activations``, what
     ``_backward_from_heads`` needs from every layer.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.shape[1] > config.max_seq_len:
-        raise ValueError(f"sequence length {ids.shape[1]} exceeds max_seq_len {config.max_seq_len}")
-    if ids.min() < 0 or ids.max() >= config.vocab_size:
-        raise ValueError("token id out of range")
     sel = np.flatnonzero(real_mask)
     h = params["tok_emb"][ids.reshape(-1)[sel]] + params["pos_emb"][sel % ids.shape[1]]
     layers = []
@@ -383,44 +470,49 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def mlm_loss_grad(
-    logits: np.ndarray, labels: np.ndarray, with_grad: bool = True
+    logits: np.ndarray, labels: np.ndarray, with_grad: bool = True, count: int | None = None
 ) -> tuple[float, np.ndarray | None]:
-    """Mean negative log-likelihood of the labels under (n, V) logits, row i
-    labelled ``labels[i]``, and its gradient with respect to the logits
-    (None without ``with_grad``)."""
+    """Negative log-likelihood of the labels under (n, V) logits, row i
+    labelled ``labels[i]``, summed and divided by ``count`` (default n: the
+    mean), and its gradient with respect to the logits (None without
+    ``with_grad``). A row shard passes its whole batch's count."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
-        raise ValueError("loss undefined: empty loss set")
     n = labels.size
+    count = n if count is None else count
+    if count == 0:
+        raise ValueError("loss undefined: empty loss set")
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
     sums = exps.sum(axis=-1, keepdims=True)
-    value = float((np.log(sums[:, 0]) - shifted[np.arange(n), labels]).mean())
+    # sum / count is what ndarray.mean computes, to the bit
+    value = float((np.log(sums[:, 0]) - shifted[np.arange(n), labels]).sum() / count)
     if not with_grad:
         return value, None
     dlogits = exps
     dlogits /= sums
     dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
+    dlogits /= count
     return value, dlogits
 
 
 def rts_loss_grad(
-    logits: np.ndarray, flags: np.ndarray, with_grad: bool = True
+    logits: np.ndarray, flags: np.ndarray, with_grad: bool = True, count: int | None = None
 ) -> tuple[float, np.ndarray | None]:
-    """Mean binary cross-entropy of the substitution flags under (n,)
-    logits, logit i flagged ``flags[i]``, and its gradient with respect to
-    the logits (None without ``with_grad``)."""
+    """Binary cross-entropy of the substitution flags under (n,) logits,
+    logit i flagged ``flags[i]``, summed and divided by ``count`` (default
+    n: the mean), and its gradient with respect to the logits (None
+    without ``with_grad``)."""
     flags = np.asarray(flags, dtype=np.float64)
-    if flags.size == 0:
+    count = flags.size if count is None else count
+    if count == 0:
         raise ValueError("loss undefined: no labeled positions")
     # softplus(z) - y*z and sigmoid, both computed overflow-free
     exp_neg = np.exp(-np.abs(logits))
-    value = float((np.maximum(logits, 0.0) + np.log1p(exp_neg) - flags * logits).mean())
+    value = float((np.maximum(logits, 0.0) + np.log1p(exp_neg) - flags * logits).sum() / count)
     if not with_grad:
         return value, None
     sigma = np.where(logits >= 0, 1.0 / (1.0 + exp_neg), exp_neg / (1.0 + exp_neg))
-    return value, (sigma - flags) / flags.size
+    return value, (sigma - flags) / count
 
 
 # head name -> its loss on the head's logits at the loss positions; the one
@@ -443,7 +535,10 @@ def loss(
     positions. A loss position on padding, an unknown head name and empty
     ``targets`` raise ``ValueError``.
     """
-    return _head_losses(params, config, ids, real_mask, targets, keep_activations=False)[0]
+    shards, counts = _shards(config, ids, real_mask, targets)
+    return sum(
+        run_parts(lambda shard: _head_losses(params, config, *shard, False, counts)[0], shards)
+    )
 
 
 def backward(
@@ -452,47 +547,123 @@ def backward(
     ids: np.ndarray,
     real_mask: np.ndarray,
     targets: dict,
+    out: Params | None = None,
 ) -> tuple[float, Params]:
-    """``loss`` and its exact gradient with respect to every parameter."""
-    total, sel, cache, d_logits = _head_losses(
-        params, config, ids, real_mask, targets, keep_activations=True
-    )
-    return total, _backward_from_heads(params, config, ids, sel, cache, d_logits)
+    """``loss`` and its exact gradient with respect to every parameter.
+
+    The gradient is a ``tensor_arena`` dict. ``out``, such a dict laid out
+    like the params (an earlier call's gradient), is zeroed and filled
+    instead of a new one, and returned.
+    """
+    shards, counts = _shards(config, ids, real_mask, targets)
+    shapes = {name: tensor.shape for name, tensor in params.items()}
+    if out is not None:
+        buffer = arena_buffer(out)
+        if buffer is None or [(k, t.shape) for k, t in out.items()] != list(shapes.items()):
+            raise ValueError("out is not a tensor arena laid out like the params")
+        buffer.fill(0.0)
+
+    def shard_backward(i: int) -> tuple[float, np.ndarray, Params]:
+        ids_i, real_i, targets_i = shards[i]
+        total, sel, cache, d_logits = _head_losses(
+            params, config, ids_i, real_i, targets_i, True, counts
+        )
+        # The first shard writes into ``out``; a new arena is made only
+        # after the forward pass. Made before it, a toy-shape training step
+        # took about 1.5-2x as many minor page faults.
+        shard_buffer, grads = (buffer, out) if i == 0 and out is not None else tensor_arena(shapes)
+        _backward_from_heads(params, config, ids_i, sel, cache, d_logits, grads)
+        return total, shard_buffer, grads
+
+    results = run_parts(shard_backward, range(len(shards)))
+    _, buffer, out = results[0]
+    for _, shard_buffer, _ in results[1:]:
+        buffer += shard_buffer
+    return sum(total for total, _, _ in results), out
 
 
-def _head_losses(params, config, ids, real_mask, targets, keep_activations):
-    """The encoder pass for ``targets`` and the summed head losses; with
-    ``keep_activations`` also each head's loss rows and the gradient with
-    respect to its logits there, as {head: (rows, d_logits)}."""
+def _shards(config, ids, real_mask, targets):
+    """Check a batch for ``loss`` and ``backward`` and cut it into row shards.
+
+    Returns the shards as (ids, real_mask, targets) triples, ``targets`` in
+    ``HEADS`` order, and the loss-position count of each head over the
+    whole batch, which every shard's head loss divides by (None for one
+    shard: each head then takes the mean of its own). Every check runs
+    once, on the whole batch and before any encoder pass: an unknown head,
+    ``targets`` that name no head, a bad id, and (here for two shards, in
+    ``_head_losses`` for one) a position outside the batch or on padding
+    raise ``ValueError``; a head with no loss position raises in its loss.
+
+    A batch is one shard, itself, unless it has at least two rows, every
+    head has a loss position and its encoder work T·d_model·(d_model +
+    d_ff), T real tokens, reaches ``_SHARD_WORK``. Then it is cut into two
+    runs of whole rows, where the running count of real tokens first
+    reaches half the total, each keeping at least one row. Each shard is
+    cropped to its own longest row, and a shard with no loss position is
+    dropped. The cut depends on the batch and the config alone.
+    """
     heads = _heads_in_order(targets)
     if not heads:
         raise ValueError("targets name no head")
+    ids = _checked_ids(config, ids)
     real_mask = np.asarray(real_mask, dtype=bool)
-    scored, head_rows = _scored_rows([targets[head][1:] for head in heads], real_mask)
+    targets = {head: targets[head] for head in heads}
+    total = np.count_nonzero(real_mask)
+    counts = {head: np.size(labels) for head, (labels, _, _) in targets.items()}
+    if (
+        len(real_mask) < 2
+        or total * config.d_model * (config.d_model + config.d_ff) < _SHARD_WORK
+        or not all(counts.values())
+    ):
+        return [(ids, real_mask, targets)], None
+    _scored_rows([positions for _, *positions in targets.values()], real_mask)
+    cut = int(np.searchsorted(2 * np.cumsum(real_mask.sum(axis=1)), total)) + 1
+    cut = min(max(cut, 1), len(real_mask) - 1)
+    shards = []
+    for lo, hi in ((0, cut), (cut, len(real_mask))):
+        part = {}
+        for head, (labels, rows, cols) in targets.items():
+            labels, rows, cols = (np.asarray(x) for x in (labels, rows, cols))
+            inside = (rows >= lo) & (rows < hi)
+            part[head] = (labels[inside], rows[inside] - lo, cols[inside])
+        if any(labels.size for labels, _, _ in part.values()):
+            width = int(np.flatnonzero(real_mask[lo:hi].any(axis=0))[-1]) + 1
+            shards.append((ids[lo:hi, :width], real_mask[lo:hi, :width], part))
+    return shards, counts
+
+
+def _head_losses(params, config, ids, real_mask, targets, keep_activations, counts=None):
+    """One shard's encoder pass and its summed head losses; ``targets`` is
+    in ``HEADS`` order and ``counts`` maps each head to the count its loss
+    divides by (None: the head's own). With ``keep_activations`` also each
+    head's loss rows and the gradient with respect to its logits there, as
+    {head: (rows, d_logits)}."""
+    scored, head_rows = _scored_rows([positions for _, *positions in targets.values()], real_mask)
     sel, cache = _encode(params, config, ids, real_mask, scored, keep_activations)
     total = 0.0
     d_logits = {}
-    for head, rows in zip(heads, head_rows):
-        labels = targets[head][0]
+    for (head, (labels, _, _)), rows in zip(targets.items(), head_rows):
         logits = _head_logits(params, head, cache["hfin"], rows)
-        head_loss, grad = HEADS[head](logits, labels, keep_activations)
+        count = None if counts is None else counts[head]
+        head_loss, grad = HEADS[head](logits, labels, keep_activations, count)
         d_logits[head] = (rows, grad)
         total += head_loss
     return total, sel, cache, d_logits
 
 
-def _backward_from_heads(params, config, ids, sel, cache, d_logits) -> Params:
-    _, grads = tensor_arena({name: tensor.shape for name, tensor in params.items()})
+def _backward_from_heads(params, config, ids, sel, cache, d_logits, grads) -> None:
+    """Add one shard's gradient into the arena dict ``grads``."""
     hfin = cache["hfin"]
-    ids = np.asarray(ids, dtype=np.int64)
     batch, length = ids.shape
     d_hfin = np.zeros_like(hfin)
     for head, (rows, d) in d_logits.items():
         w = params[head + "_head.w"]
         grads[head + "_head.w"] += hfin[rows].T @ d
         grads[head + "_head.b"] += d.sum(axis=0)
-        # the RTS head's (d,) weight and (n,) logits act as one-column matrices
-        np.add.at(d_hfin, rows, d.reshape(rows.size, -1) @ w.reshape(w.shape[0], -1).T)
+        # the RTS head's (d,) weight and (n,) logits act as one-column
+        # matrices; a shard may hold none of a head's n positions
+        k = w.size // w.shape[0]
+        np.add.at(d_hfin, rows, d.reshape(-1, k) @ w.reshape(-1, k).T)
 
     dh, dscale, dshift = _layernorm_backward(d_hfin, cache["final_ln"], params["final_ln.scale"])
     grads["final_ln.scale"] += dscale
@@ -547,7 +718,6 @@ def _backward_from_heads(params, config, ids, sel, cache, d_logits) -> Params:
 
     np.add.at(grads["pos_emb"], sel % length, dh)
     np.add.at(grads["tok_emb"], ids.reshape(-1)[sel], dh)
-    return grads
 
 
 @dataclass

@@ -119,6 +119,9 @@ class TrainConfig:
 # Elements per block of the AdamW walk over the flat buffers: each block's
 # temporaries live in two preallocated scratch rows of this length.
 _ADAMW_BLOCK = 32_768
+# Buffers of at least this many floats are updated as two halves, cut at a
+# block boundary, the second on the model's worker (``model.run_parts``).
+_ADAMW_SPLIT = 2**20
 
 
 class OptState:
@@ -141,8 +144,14 @@ class OptState:
         self._decay = np.concatenate(
             [np.full(tensor.size, not model.is_layer_norm(name)) for name, tensor in params.items()]
         )
-        self._scratch = np.empty((2, min(_ADAMW_BLOCK, buffer.size)))
-        self._finite = np.empty(self._scratch.shape[1], dtype=bool)
+        n = buffer.size
+        mid = _ADAMW_BLOCK * (-(-n // _ADAMW_BLOCK) // 2) if n >= _ADAMW_SPLIT else 0
+        cuts = [0, mid, n] if 0 < mid < n else [0, n]
+        # each half walks its own [lo, hi) with its own scratch rows
+        self._halves = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            width = min(_ADAMW_BLOCK, hi - lo)
+            self._halves.append((lo, hi, np.empty((2, width)), np.empty(width, dtype=bool)))
 
 
 @dataclass
@@ -218,7 +227,10 @@ def adamw_step(
     state's scratch, so no temporary grows with the model. Per element it
     runs the same float operations in the same order as a per-tensor
     update, so the result is the same to the bit; entries that are not
-    decayed skip the decay add through ``where=``. ``grads`` must be a
+    decayed skip the decay add through ``where=``. A buffer of at least
+    ``_ADAMW_SPLIT`` floats is walked as two halves, the second on the
+    model's shard worker (``model.run_parts``); a non-finite gradient
+    still names the lowest such entry's tensor. ``grads`` must be a
     ``model.tensor_arena`` dict with the params' names and shapes in the
     params' order, as ``model.backward`` returns.
     """
@@ -237,32 +249,38 @@ def adamw_step(
     theta = opt.params
     n = theta.size
     m, v = opt.moments[:n], opt.moments[n:]
-    for lo in range(0, n, _ADAMW_BLOCK):
-        hi = min(lo + _ADAMW_BLOCK, n)
-        gb, mb, vb, tb = g[lo:hi], m[lo:hi], v[lo:hi], theta[lo:hi]
-        a, u = opt._scratch[0, : hi - lo], opt._scratch[1, : hi - lo]
-        finite = np.isfinite(gb, out=opt._finite[: hi - lo])
-        if not finite.all():
-            ends = np.cumsum([tensor.size for tensor in params.values()])
-            name = list(params)[np.searchsorted(ends, lo + np.argmin(finite), side="right")]
-            raise TrainingDiverged(t - 1, f"non-finite gradient in {name}")
-        np.multiply(gb, 1.0 - b1, out=a)
-        mb *= b1
-        mb += a
-        np.multiply(gb, 1.0 - b2, out=a)
-        a *= gb
-        vb *= b2
-        vb += a
-        np.divide(vb, bc2, out=a)
-        np.sqrt(a, out=a)
-        a += config.eps
-        np.divide(mb, bc1, out=u)
-        u /= a
-        if config.weight_decay:
-            np.multiply(tb, config.weight_decay, out=a)
-            np.add(u, a, out=u, where=opt._decay[lo:hi])
-        u *= lr
-        tb -= u
+
+    def update(half) -> None:
+        start, stop, scratch, finite_row = half
+        for lo in range(start, stop, _ADAMW_BLOCK):
+            hi = min(lo + _ADAMW_BLOCK, stop)
+            gb, mb, vb, tb = g[lo:hi], m[lo:hi], v[lo:hi], theta[lo:hi]
+            a, u = scratch[0, : hi - lo], scratch[1, : hi - lo]
+            finite = np.isfinite(gb, out=finite_row[: hi - lo])
+            if not finite.all():
+                ends = np.cumsum([tensor.size for tensor in params.values()])
+                name = list(params)[np.searchsorted(ends, lo + np.argmin(finite), side="right")]
+                raise TrainingDiverged(t - 1, f"non-finite gradient in {name}")
+            np.multiply(gb, 1.0 - b1, out=a)
+            mb *= b1
+            mb += a
+            np.multiply(gb, 1.0 - b2, out=a)
+            a *= gb
+            vb *= b2
+            vb += a
+            np.divide(vb, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += config.eps
+            np.divide(mb, bc1, out=u)
+            u /= a
+            if config.weight_decay:
+                np.multiply(tb, config.weight_decay, out=a)
+                np.add(u, a, out=u, where=opt._decay[lo:hi])
+            u *= lr
+            tb -= u
+
+    # the first half's error wins, so a non-finite entry named is the lowest
+    model.run_parts(update, opt._halves)
 
 
 def clip_gradients(grads: Params, max_norm: float) -> float:
@@ -473,6 +491,7 @@ def train(
         save_training_checkpoint(path, model_config, train_config, step, params, opt)
         return path
 
+    grads = None
     try:
         eval_every, checkpoint_every = train_config.eval_every, train_config.checkpoint_every
         for t in range(opt.step, stop):
@@ -502,8 +521,10 @@ def train(
                     fraction,
                     counter_rng(train_config.seed, "loss_subset", t),
                 )
+            # last step's gradient arena is zeroed and reused
             loss, grads = model.backward(
-                params, model_config, ids, real, {train_config.objective: (labels, rows, cols)}
+                params, model_config, ids, real, {train_config.objective: (labels, rows, cols)},
+                out=grads,
             )
             if not math.isfinite(loss):
                 raise TrainingDiverged(t, f"non-finite loss {loss!r}")

@@ -278,6 +278,17 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", ckpt, "--corpus", corpus_path]) == 0
         assert json.loads(capsys.readouterr().out)["step"] == 4
 
+    def test_vocab_that_repeats_a_token_exits_2(self, trained, corpus_path, tmp_path, capsys):
+        # the run's own vocab with its last token replaced by a repeat of an
+        # earlier one: the size still matches the checkpoint
+        tokens = (Path(trained).parents[1] / "vocab.txt").read_text(encoding="utf-8").splitlines()
+        repeated = tokens[data.N_SPECIALS]
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(tokens[:-1] + [repeated]) + "\n", encoding="utf-8")
+        args = ["eval", "--checkpoint", trained, "--corpus", corpus_path, "--vocab", str(vocab)]
+        assert main(args) == 2
+        assert f"vocab repeats the token {repeated!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("task", [[], ["--corpus", "c.txt", "--pairs", "p.tsv"]])
     def test_not_exactly_one_of_corpus_and_pairs_exits_2(self, trained, task, capsys):
         with pytest.raises(SystemExit) as info:
@@ -585,6 +596,63 @@ class TestBlasThreadCount:
                 {rel: (out / rel).read_bytes() for rel in ("metrics.jsonl", "checkpoints/step-3.ckpt")}
             )
         assert runs[0] == runs[1]
+
+    @pytest.mark.skipif(
+        not _has_openblas_thread_setter(), reason="numpy's BLAS has no thread setter"
+    )
+    def test_library_train_bytes_do_not_depend_on_it(self, tmp_path):
+        # the library pins BLAS itself, for a caller that never runs the CLI
+        runs = [
+            _library_train(tmp_path / f"run{threads}", OPENBLAS_NUM_THREADS=threads)[0]
+            for threads in ("1", "2")
+        ]
+        assert runs[0] == runs[1]
+
+
+class TestCoreCount:
+    def test_medium_shape_train_bytes_do_not_depend_on_it(self, tmp_path):
+        # the run's batches are cut into two row shards; with one usable CPU
+        # both run in the caller, with two the second runs on the worker
+        cpus = len(os.sched_getaffinity(0))
+        one = _library_train(tmp_path / "one", cpus=1)
+        every = _library_train(tmp_path / "every", cpus=cpus)
+        assert one == (every[0], False)
+        assert every[1] == (cpus >= 2)
+
+
+# A 3-step library ``trainer.train`` at TestBlasThreadCount's shape, in a
+# process limited to its first ``cpus`` CPUs; prints whether it started the
+# shard worker.
+_LIBRARY_TRAIN = """
+import json, os, sys
+from masksched import model, trainer
+from masksched.data import build_vocab, encode_corpus, synthetic_zipf_corpus
+from masksched.schedule import parse_schedule
+
+out_dir, cpus = sys.argv[1], int(sys.argv[2])
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:cpus])
+lines = synthetic_zipf_corpus(400, n_word_types=1995, seed=0, min_len=20, max_len=62)
+vocab = build_vocab(lines, 2000)
+mc = model.ModelConfig(n_layers=1, n_heads=4, d_model=128, d_ff=512, vocab_size=vocab.size, max_seq_len=64)
+tc = trainer.TrainConfig(
+    total_steps=3, batch_size=8, schedule=parse_schedule("constant-0.15", 3), seed=3,
+    eval=trainer.EvalConfig(n_batches=2),
+)
+trainer.train(mc, tc, encode_corpus(vocab, lines, 64), vocab, out_dir=out_dir)
+print(json.dumps(model._worker is not None))
+"""
+
+
+def _library_train(out_dir, cpus=None, **env):
+    """The run's metrics and final checkpoint bytes, and whether it started
+    the shard worker."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env)
+    cpus = len(os.sched_getaffinity(0)) if cpus is None else cpus
+    cmd = [sys.executable, "-c", _LIBRARY_TRAIN, str(out_dir), str(cpus)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    files = {rel: (out_dir / rel).read_bytes() for rel in ("metrics.jsonl", "checkpoints/step-3.ckpt")}
+    return files, json.loads(proc.stdout)
 
 
 class TestScheduleComparisonPipeline:

@@ -59,6 +59,13 @@ class TestBuildVocab:
         with pytest.raises(ValueError, match="vocab too small"):
             build_vocab(["a"], max_size=5)
 
+    def test_repeated_token_rejected(self, tmp_path):
+        # at size 8, "a" twice would leave id 5 unused and look "a" up as 7
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join([*SPECIAL_TOKENS, "a", "b", "a"]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^vocab repeats the token 'a'$"):
+            load_vocab(str(path))
+
     def test_round_trip_ids(self):
         vocab = build_vocab(["a b c b c c"], max_size=10)
         for i, token in enumerate(vocab.tokens):

@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -208,19 +212,21 @@ class TestGatheredHead:
         ids, real = random_batch(SMALL, 9, batch=3, length=7, pad_last=1)
         rows, cols, labels, _ = loss_targets(SMALL, ids)
         dense = forward(params, SMALL, ids, real)
-        gathered = forward(params, SMALL, ids, real, positions=(rows, cols))
-        assert gathered.mlm_logits.shape == (rows.size, SMALL.vocab_size)
-        assert np.abs(gathered.mlm_logits - dense.mlm_logits[rows, cols]).max() < 1e-12
-        dense_loss, _ = mlm_loss_grad(dense.mlm_logits[rows, cols], labels)
-        ours = loss(params, SMALL, ids, real, {"mlm": (labels, rows, cols)})
-        assert abs(ours - dense_loss) < 1e-12
+        dense_loss, dense_grad = mlm_loss_grad(dense.mlm_logits[rows, cols], labels)
+        targets = {"mlm": (labels, rows, cols)}
+        # the head scores the loss positions alone, one logit row each
+        _, _, _, d_logits = model._head_losses(params, SMALL, ids, real, targets, True)
+        assert d_logits["mlm"][1].shape == (rows.size, SMALL.vocab_size)
+        assert np.abs(d_logits["mlm"][1] - dense_grad).max() < 1e-12
+        assert abs(loss(params, SMALL, ids, real, targets) - dense_loss) < 1e-12
 
     def test_forward_only_keeps_no_layer_activations(self):
         params = init_params(SMALL)
         ids, real = random_batch(SMALL, 9)
-        rows, cols, _, _ = loss_targets(SMALL, ids)
+        rows, cols, labels, _ = loss_targets(SMALL, ids)
         assert list(forward(params, SMALL, ids, real).cache) == ["hfin"]
-        assert list(forward(params, SMALL, ids, real, positions=(rows, cols)).cache) == ["hfin"]
+        targets = {"mlm": (labels, rows, cols)}
+        assert list(model._head_losses(params, SMALL, ids, real, targets, False)[2]) == ["hfin"]
 
     def test_duplicated_positions_scatter_their_gradients(self):
         # every loss position listed twice leaves the mean loss and its
@@ -310,12 +316,13 @@ class TestRealRows:
     def test_scored_forward_keeps_real_rows_only(self):
         params = init_params(SMALL)
         ids, real = random_batch(SMALL, 13, batch=3, length=7, pad_last=2)
-        rows, cols, _, _ = loss_targets(SMALL, ids)
+        rows, cols, labels, _ = loss_targets(SMALL, ids)
         # the last layer returns the scored rows (here distinct and fewer than
         # the real rows), the dense forward every real row
-        out = forward(params, SMALL, ids, real, positions=(rows, cols))
+        targets = {"mlm": (labels, rows, cols)}
+        _, _, cache, _ = model._head_losses(params, SMALL, ids, real, targets, False)
         assert rows.size < real.sum()
-        assert out.cache["hfin"].shape == (rows.size, SMALL.d_model)
+        assert cache["hfin"].shape == (rows.size, SMALL.d_model)
         assert forward(params, SMALL, ids, real).cache["hfin"].shape == (real.sum(), SMALL.d_model)
 
     def test_position_on_padding_rejected(self):
@@ -323,8 +330,6 @@ class TestRealRows:
         ids, real = random_batch(SMALL, 14, batch=2, length=6, pad_last=1)
         rows, cols = np.array([0, 1]), np.array([1, 5])
         labels = np.array([N_SPECIALS, N_SPECIALS])
-        with pytest.raises(ValueError, match="padding"):
-            forward(params, SMALL, ids, real, positions=(rows, cols))
         for head in ("mlm", "rts"):
             targets = {head: (labels if head == "mlm" else np.array([0, 1]), rows, cols)}
             with pytest.raises(ValueError, match="padding"):
@@ -360,13 +365,19 @@ class TestScoredRows:
         assert report.passed, f"worst={report.worst_rel_err:.3e} in {report.worst_tensor}"
 
     def test_positioned_logits_match_dense_forward(self):
+        # each head's loss and logit gradient at its positions, from the
+        # scored rows, match those of the dense forward's logits there
         params = init_params(SMALL)
         ids, real, targets = self.case()
-        rows, cols = (np.concatenate([targets[h][i] for h in targets]) for i in (1, 2))
         dense = forward(params, SMALL, ids, real, heads=("mlm", "rts"))
-        scored = forward(params, SMALL, ids, real, heads=("mlm", "rts"), positions=(rows, cols))
-        assert np.abs(scored.mlm_logits - dense.mlm_logits[rows, cols]).max() <= 1e-12
-        assert np.abs(scored.rts_logits - dense.rts_logits[rows, cols]).max() <= 1e-12
+        total, _, _, d_logits = model._head_losses(params, SMALL, ids, real, targets, True)
+        want = 0.0
+        for head, (labels, rows, cols) in targets.items():
+            value, grad = model.HEADS[head](getattr(dense, head + "_logits")[rows, cols], labels)
+            assert np.abs(d_logits[head][1] - grad).max() <= 1e-12
+            want += value
+        assert abs(total - want) <= 1e-12
+        assert loss(params, SMALL, ids, real, targets) == total
 
     def test_hfin_holds_the_distinct_scored_rows(self):
         params = init_params(SMALL)
@@ -377,5 +388,165 @@ class TestScoredRows:
         assert top["ctx"].shape[0] == top["u"].shape[0] == 5
         assert lower["ctx"].shape[0] == top["a"].shape[0] == real.sum()
         rows, cols = np.array([0, 0, 2, 1, 2]), np.array([1, 3, 3, 2, 1])
-        out = forward(params, SMALL, ids, real, positions=(rows, cols))
-        assert out.cache["hfin"].shape == (5, SMALL.d_model)
+        only_mlm = {"mlm": (np.full(5, N_SPECIALS), rows, cols)}
+        _, _, cache, _ = model._head_losses(params, SMALL, ids, real, only_mlm, False)
+        assert cache["hfin"].shape == (5, SMALL.d_model)
+
+
+class TestRowShards:
+    """Batches at or above ``_SHARD_WORK`` run as two row shards, the second
+    on a worker thread; ``two_shards`` lowers the threshold so that every
+    SMALL batch of two or more rows takes that path."""
+
+    @pytest.fixture
+    def two_shards(self, monkeypatch):
+        monkeypatch.setattr(model, "_SHARD_WORK", 1)
+
+    @staticmethod
+    def case(kind):
+        ids, real = random_batch(SMALL, 16, batch=5, length=7, pad_last=2)
+        ids[1, 3:5] = [SEP_ID, PAD_ID]  # mid-batch padding: a ragged row
+        real[1, 4] = False
+        rows, cols, labels, flags = loss_targets(SMALL, ids, seed=2)
+        if kind == "mlm":
+            return ids, real, {"mlm": (labels, rows, cols)}
+        if kind == "rts":
+            return ids, real, {"rts": (flags, rows, cols)}
+        if kind == "both":  # the RTS positions all lie in the first shard
+            first = rows < 2
+            return ids, real, {
+                "mlm": (labels, rows, cols),
+                "rts": (flags[first], rows[first], cols[first]),
+            }
+        # "one-empty": the second shard holds no loss position and is dropped
+        first = rows < 2
+        return ids, real, {"mlm": (labels[first], rows[first], cols[first])}
+
+    KINDS = ["mlm", "rts", "both", "one-empty"]
+
+    def test_cut_at_half_the_real_tokens_with_each_shard_cropped(self, two_shards):
+        ids, real, targets = self.case("both")
+        lengths = real.sum(axis=1)  # 5, 4, 5, 5, 5: half of 24 is reached in row 2
+        assert lengths.tolist() == [5, 4, 5, 5, 5]
+        shards, counts = model._shards(SMALL, ids, real, targets)
+        assert [s[0].shape for s in shards] == [(3, 5), (2, 5)]
+        assert counts == {"mlm": targets["mlm"][0].size, "rts": targets["rts"][0].size}
+        assert set(shards[1][2]) == {"mlm", "rts"} and shards[1][2]["rts"][0].size == 0
+        np.testing.assert_array_equal(shards[1][0], ids[3:, :5])
+        _, _, targets = self.case("one-empty")
+        assert len(model._shards(SMALL, ids, real, targets)[0]) == 1
+
+    def test_small_batches_stay_one_shard(self):
+        ids, real, targets = self.case("both")
+        shards, counts = model._shards(SMALL, ids, real, targets)
+        assert counts is None and len(shards) == 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_loss_and_gradients_match_one_shard(self, kind, monkeypatch):
+        params = init_params(SMALL)
+        ids, real, targets = self.case(kind)
+        l1, g1 = backward(params, SMALL, ids, real, targets)
+        monkeypatch.setattr(model, "_SHARD_WORK", 1)
+        l2, g2 = backward(params, SMALL, ids, real, targets)
+        assert abs(l2 - l1) <= 1e-12
+        for name in g1:
+            np.testing.assert_allclose(g2[name], g1[name], rtol=0, atol=1e-12)
+        assert loss(params, SMALL, ids, real, targets) == l2
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_gradient_matches_central_differences(self, kind, two_shards, monkeypatch):
+        monkeypatch.setattr(model, "_gradcheck_case", lambda config, seed: self.case(kind))
+        report = grad_check(SMALL, seed=0, n_coords=150, h=1e-4, tol=1e-5)
+        assert report.passed, f"worst={report.worst_rel_err:.3e} in {report.worst_tensor}"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_same_bytes_with_and_without_the_worker(self, kind, two_shards, monkeypatch):
+        params = init_params(SMALL)
+        ids, real, targets = self.case(kind)
+        threads = []
+        head_losses = model._head_losses
+
+        def recording(*args):
+            threads.append(threading.current_thread().name)
+            return head_losses(*args)
+
+        monkeypatch.setattr(model, "_head_losses", recording)
+        results = []
+        for cpus in (None, {0}):
+            if cpus is not None:  # one usable CPU: no worker, both shards here
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            threads.clear()
+            value, grads = backward(params, SMALL, ids, real, targets)
+            results.append((value, model.arena_buffer(grads).tobytes()))
+            if cpus is not None or model._usable_cpus() < 2 or kind == "one-empty":
+                assert set(threads) == {threading.main_thread().name}
+            else:
+                assert threads[0] == threading.main_thread().name
+                assert threads[1].startswith("masksched")
+        assert results[0] == results[1]
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+
+        def fail(part):
+            if part:
+                raise ValueError(f"part {part}")
+            return part
+
+        with pytest.raises(ValueError, match="part 1"):
+            model.run_parts(fail, [0, 1])
+        with pytest.raises(ValueError, match="part 2"):  # the first part's error wins
+            model.run_parts(fail, [2, 1])
+        assert model.run_parts(fail, [0]) == [0]
+
+    @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+    def test_forked_child_finishes_a_two_shard_backward(self, two_shards, monkeypatch):
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        params = init_params(SMALL)
+        ids, real, targets = self.case("both")
+        want = backward(params, SMALL, ids, real, targets)[0]  # starts the worker
+        assert model._worker is not None
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if backward(params, SMALL, ids, real, targets)[0] == want else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung in backward")
+            time.sleep(0.02)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+
+class TestGradientBuffer:
+    @pytest.mark.parametrize("shard_work", [None, 1])
+    def test_out_is_zeroed_and_returned(self, shard_work, monkeypatch):
+        if shard_work is not None:
+            monkeypatch.setattr(model, "_SHARD_WORK", shard_work)
+        params = init_params(SMALL)
+        ids, real, targets = TestRowShards.case("both")
+        value, fresh = backward(params, SMALL, ids, real, targets)
+        _, out = model.tensor_arena({name: t.shape for name, t in params.items()})
+        model.arena_buffer(out).fill(np.nan)
+        again, got = backward(params, SMALL, ids, real, targets, out=out)
+        assert got is out and again == value
+        assert model.arena_buffer(got).tobytes() == model.arena_buffer(fresh).tobytes()
+
+    def test_out_laid_out_otherwise_is_rejected(self):
+        params = init_params(SMALL)
+        ids, real, targets = TestRowShards.case("mlm")
+        shapes = {name: t.shape for name, t in params.items()}
+        for out in (
+            {name: np.zeros(shape) for name, shape in shapes.items()},
+            model.tensor_arena(dict(reversed(shapes.items())))[1],
+        ):
+            with pytest.raises(ValueError, match="out is not a tensor arena"):
+                backward(params, SMALL, ids, real, targets, out=out)

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from masksched import evaluate, trainer
+from masksched import evaluate, model, trainer
 from masksched.corruption import CorruptionConfig, round_half_up
 from masksched.data import Vocab, build_vocab, encode_corpus, synthetic_zipf_corpus
 from masksched.evaluate import EvalConfig, eval_mlm
@@ -211,23 +211,15 @@ class TestAdamWOracle:
             g[pick > 0.9] = -0.0
         return grads
 
-    # 97 cuts blocks across tensors and decay-mask boundaries; in_arena=False
-    # draws separate arrays and copies them into an arena, as a caller that
-    # does not hold ``model.backward`` output must before ``adamw_step``
-    @pytest.mark.parametrize("in_arena", [True, False])
-    @pytest.mark.parametrize("block", [None, 97])
-    def test_five_steps_match_per_tensor_reference_bitwise(self, block, in_arena, monkeypatch):
-        if block is not None:
-            monkeypatch.setattr(trainer, "_ADAMW_BLOCK", block)
+    @classmethod
+    def five_steps_match_reference(cls, params, opt, in_arena=True):
         cfg = config(weight_decay=0.01)
-        params = init_params(self.SMALL)
-        opt = init_opt_state(params)
         ref = {name: t.copy() for name, t in params.items()}
         ref_m = {name: np.zeros_like(t) for name, t in params.items()}
         ref_v = {name: np.zeros_like(t) for name, t in params.items()}
         rng = np.random.default_rng(3)
         for step in range(1, 6):
-            grads = self.random_grads(params, rng, in_arena)
+            grads = cls.random_grads(params, rng, in_arena)
             if not in_arena:
                 grads = arena(**grads)
             lr = 0.01 * step
@@ -239,6 +231,46 @@ class TestAdamWOracle:
             flat = np.concatenate([want[name].ravel() for name in params])
             np.testing.assert_array_equal(got, flat)
             assert (np.signbit(got) == np.signbit(flat)).all()
+
+    # 97 cuts blocks across tensors and decay-mask boundaries; in_arena=False
+    # draws separate arrays and copies them into an arena, as a caller that
+    # does not hold ``model.backward`` output must before ``adamw_step``
+    @pytest.mark.parametrize("in_arena", [True, False])
+    @pytest.mark.parametrize("block", [None, 97])
+    def test_five_steps_match_per_tensor_reference_bitwise(self, block, in_arena, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(trainer, "_ADAMW_BLOCK", block)
+        params = init_params(self.SMALL)
+        opt = init_opt_state(params)
+        assert len(opt._halves) == 1
+        self.five_steps_match_reference(params, opt, in_arena)
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """AdamW on SMALL in two halves, the second on the worker."""
+        monkeypatch.setattr(trainer, "_ADAMW_BLOCK", 97)
+        monkeypatch.setattr(trainer, "_ADAMW_SPLIT", 1)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+
+    def test_split_halves_match_per_tensor_reference_bitwise(self, split):
+        params = init_params(self.SMALL)
+        opt = init_opt_state(params)
+        (lo0, hi0, *_), (lo1, hi1, *_) = opt._halves
+        assert (lo0, hi0, hi1) == (0, lo1, opt.params.size) and lo1 % 97 == 0
+        assert abs(lo1 - hi1 / 2) < 97
+        self.five_steps_match_reference(params, opt)
+
+    # a non-finite entry in both halves names the first half's tensor
+    @pytest.mark.parametrize("names", [["tok_emb", "rts_head.b"], ["rts_head.b"]])
+    def test_split_nonfinite_gradient_names_the_lowest_entry(self, names, split):
+        params = init_params(self.SMALL)
+        opt = init_opt_state(params)
+        grads = self.random_grads(params, np.random.default_rng(4))
+        for name in names:
+            grads[name].flat[-1] = math.inf
+        message = rf"^diverged at step 0: non-finite gradient in {names[0]}$"
+        with pytest.raises(TrainingDiverged, match=message):
+            adamw_step(params, grads, opt, 0.01, config())
 
     @pytest.mark.parametrize("name", ["tok_emb", "layer1.ff.w1", "rts_head.b"])
     def test_nonfinite_gradient_names_tensor_and_step(self, name, monkeypatch):
@@ -542,6 +574,36 @@ class TestTrainLoop:
         result = train(MODEL, config(total_steps=4, eval_every=1), dataset, vocab)
         assert len(calls) == 4
         assert all(r.eval_loss is not None for r in result.metrics.records)
+
+    def test_each_step_reuses_the_last_gradient_arena(self, toy, monkeypatch):
+        vocab, dataset = toy
+        outs, returned = [], []
+        backward = model.backward
+
+        def recording(*args, out=None):
+            outs.append(out)
+            result = backward(*args, out=out)
+            returned.append(result[1])
+            return result
+
+        monkeypatch.setattr(model, "backward", recording)
+        train(MODEL, config(total_steps=3), dataset, vocab)
+        assert outs[0] is None
+        assert outs[1] is returned[0] and outs[2] is returned[1] is returned[0]
+
+    def test_toy_shape_run_starts_no_thread(self, monkeypatch):
+        # the c06 shape (L2 d32 ff64 V200 S16 B16): every batch, the
+        # evaluation's included, is one shard, and AdamW runs as one half
+        monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(model, "_worker", None)
+        lines = synthetic_zipf_corpus(200, seed=0)
+        vocab = build_vocab(lines, max_size=200)
+        mc = ModelConfig(
+            n_layers=2, n_heads=2, d_model=32, d_ff=64, vocab_size=vocab.size, max_seq_len=16
+        )
+        cfg = config(total_steps=3, batch_size=16, eval_every=1)
+        train(mc, cfg, encode_corpus(vocab, lines, mc.max_seq_len), vocab)
+        assert model._worker is None
 
     def test_no_masked_position_names_the_rate(self, toy):
         vocab, dataset = toy
